@@ -100,19 +100,19 @@ def _plateau_peaks(smoothed):
     The reported index is the run's middle bin (lower-middle for even
     runs), so a smoothed spike stays centered on its source bin.
     """
-    peaks = []
-    n = len(smoothed)
-    i = 0
-    while i < n:
-        j = i
-        while j + 1 < n and smoothed[j + 1] == smoothed[i]:
-            j += 1
-        left_ok = i == 0 or smoothed[i - 1] < smoothed[i]
-        right_ok = j == n - 1 or smoothed[j + 1] < smoothed[i]
-        if left_ok and right_ok and not (i == 0 and j == n - 1):
-            peaks.append((i + j) // 2)
-        i = j + 1
-    return peaks
+    s = np.asarray(smoothed)
+    change = np.flatnonzero(s[1:] != s[:-1])
+    starts = np.concatenate(([0], change + 1))
+    ends = np.concatenate((change, [s.size - 1]))
+    if starts.size < 2:  # one run spans the whole domain
+        return np.empty(0, dtype=np.int64)
+    vals = s[starts]
+    # neighbouring runs differ, so a run's outside neighbours are the values
+    # of the runs before and after it
+    left_ok = np.concatenate(([True], vals[:-1] < vals[1:]))
+    right_ok = np.concatenate((vals[1:] < vals[:-1], [True]))
+    keep = left_ok & right_ok
+    return (starts[keep] + ends[keep]) // 2
 
 
 def select_ranges(
@@ -146,19 +146,23 @@ def select_ranges(
 
     smoothed = _smooth(counts, smooth_window)
     floor = prominence_frac * smoothed.max()
-    candidates = [p for p in _plateau_peaks(smoothed) if smoothed[p] >= floor]
+    peaks = _plateau_peaks(smoothed)
+    candidates = peaks[smoothed[peaks] >= floor]
 
     last = len(counts) - 1
-    if not candidates:
+    if candidates.size == 0:
         top = int(np.argmax(smoothed))
         return [SumRange(0, last, top)]
 
-    candidates.sort(key=lambda p: (-smoothed[p], p))
+    # tallest first, ties toward the lower sum; an acceptance never depends
+    # on later candidates, so the scan stops once max_peaks are accepted
+    candidates = candidates[np.lexsort((candidates, -smoothed[candidates]))]
     accepted = []
-    for p in candidates:
+    for p in candidates.tolist():
         if all(abs(p - q) >= min_separation for q in accepted):
             accepted.append(p)
-    accepted = accepted[:max_peaks]
+            if len(accepted) == max_peaks:
+                break
 
     ranges = sorted(
         (max(0, p - half_width), min(last, p + half_width), p) for p in accepted

@@ -176,6 +176,16 @@ def medoid_signature(image: MultibandImage, pixels, sample_cap: int = 4096) -> n
     Ties break toward the lowest pixel index. Segments larger than
     ``sample_cap`` are reduced to a deterministic evenly strided subsample
     of exactly ``sample_cap`` members before the quadratic scan.
+
+    Squared distances come from the Gram form |a|² + |b|² − 2·a·b, one
+    block of rows at a time. This is exact: samples are integers of at
+    most 16 bits, so every product and partial sum is an integer below
+    2⁵³ for any band count under about 10⁶, whatever order BLAS sums them
+    in, and the correctly rounded square root then matches the direct
+    difference form bit for bit. Each row of distances is a C-contiguous
+    array of length m summed with ``sum(axis=1)``; numpy's pairwise
+    summation depends on that layout, so the sums, and the argmin on a
+    tie, are fixed by it.
     """
     idx = np.asarray(pixels, dtype=np.int64)
     if idx.size == 0:
@@ -190,12 +200,16 @@ def medoid_signature(image: MultibandImage, pixels, sample_cap: int = 4096) -> n
     flat = image.data.reshape(-1, image.bands)
     vectors = flat[idx].astype(np.float64)
     m = vectors.shape[0]
+    norms = (vectors * vectors).sum(axis=1)
     sums = np.zeros(m, dtype=np.float64)
-    chunk = max(1, min(m, 8 * 1024 * 1024 // (8 * max(1, m))))
+    chunk = max(1, min(m, 1024 * 1024 // (8 * m)))  # ~1 MiB of distances
     for start in range(0, m, chunk):
-        block = vectors[start : start + chunk]
-        diff = block[:, None, :] - vectors[None, :, :]
-        dist = np.sqrt((diff * diff).sum(axis=2))
-        sums[start : start + chunk] = dist.sum(axis=1)
+        stop = start + chunk
+        dist = vectors[start:stop] @ vectors.T
+        dist *= -2.0
+        dist += norms
+        dist += norms[start:stop, None]
+        np.sqrt(dist, out=dist)
+        sums[start:stop] = dist.sum(axis=1)
     best = int(np.argmin(sums))  # first minimum = lowest pixel index
     return flat[idx[best]].copy()

@@ -42,6 +42,27 @@ def classify_by_rule(vector, delta_rel):
     return best
 
 
+def plateau_peaks_by_loop(smoothed):
+    """Local-maximum runs by a left-to-right scan; one middle index per run.
+
+    A run of equal values qualifies when every existing outside neighbor is
+    strictly smaller and it does not span the whole array.
+    """
+    peaks = []
+    n = len(smoothed)
+    i = 0
+    while i < n:
+        j = i
+        while j + 1 < n and smoothed[j + 1] == smoothed[i]:
+            j += 1
+        left_ok = i == 0 or smoothed[i - 1] < smoothed[i]
+        right_ok = j == n - 1 or smoothed[j + 1] < smoothed[i]
+        if left_ok and right_ok and not (i == 0 and j == n - 1):
+            peaks.append((i + j) // 2)
+        i = j + 1
+    return peaks
+
+
 def select_ranges_by_scan(counts, smooth_window, prominence_frac, min_separation,
                           half_width, max_peaks):
     """List-based reimplementation of the documented range-selection rule.

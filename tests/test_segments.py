@@ -252,6 +252,47 @@ class TestMedoidSignature:
         want = sub[reference.medoid_by_bruteforce(sub)]
         assert got.tolist() == want.tolist()
 
+    def test_sixteen_bit_extremes_with_ties_match_oracle(self):
+        # vectors at 0 and 65535 give the largest products the distance
+        # kernel must sum exactly; a few distinct vectors in equal numbers
+        # give equal or nearly equal distance sums, which only the fixed
+        # row-sum layout orders the same way as the oracle
+        rng = np.random.default_rng(83)
+        for bands in range(1, 13):
+            for distinct in (2, 3, 5):
+                k = int(rng.integers(9, 301))
+                palette = rng.choice([0, 65535], size=(distinct, bands))
+                vectors = palette[rng.permutation(np.arange(k) % distinct)].astype(np.uint16)
+                image = MultibandImage(data=vectors[None], depth=16)
+                got = medoid_signature(image, np.arange(k))
+                want = vectors[reference.medoid_by_bruteforce(vectors)]
+                assert got.tolist() == want.tolist()
+
+    def test_sixteen_bit_balanced_tie_takes_lowest_index(self):
+        # two distinct vectors in equal numbers have exactly equal sums
+        for bands in range(1, 13):
+            a = np.zeros(bands, dtype=np.uint16)
+            b = np.full(bands, 65535, dtype=np.uint16)
+            data = np.array([b, a] * 50, dtype=np.uint16).reshape(10, 10, bands)
+            image = MultibandImage(data=data, depth=16)
+            vectors = data.reshape(-1, bands)
+            assert reference.medoid_by_bruteforce(vectors) == 0
+            assert medoid_signature(image, np.arange(100)).tolist() == b.tolist()
+
+    def test_sixteen_bit_capped_subsample_matches_oracle(self):
+        rng = np.random.default_rng(89)
+        bands = 12
+        data = rng.integers(0, 65536, size=(60, 60, bands)).astype(np.uint16)
+        data[rng.random((60, 60)) < 0.5] = rng.choice([0, 65535], size=bands)
+        image = MultibandImage(data=data, depth=16)
+        pixels = np.sort(rng.choice(3600, size=3000, replace=False))
+        cap = 700
+        got = medoid_signature(image, pixels, sample_cap=cap)
+        take = (np.arange(cap, dtype=np.int64) * 3000) // cap
+        sub = data.reshape(-1, bands)[pixels[take]]
+        want = sub[reference.medoid_by_bruteforce(sub)]
+        assert got.tolist() == want.tolist()
+
     def test_empty_pixel_list(self):
         image = image_from(np.zeros((1, 1, 1)))
         with pytest.raises(ContractError):
