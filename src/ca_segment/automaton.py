@@ -13,6 +13,7 @@ results are bit-identical for any parallel partitioning of the grid.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -151,6 +152,12 @@ def _attack_rows(weights, lab_pad, th_pad, old_labels, old_theta, new_labels, ne
     )
 
 
+@functools.lru_cache(maxsize=None)
+def _pool(workers):
+    """One thread pool per worker count, kept for the life of the process."""
+    return ThreadPoolExecutor(max_workers=workers)
+
+
 def _row_blocks(height, threads):
     blocks = max(1, min(threads, height))
     bounds = np.linspace(0, height, blocks + 1, dtype=np.int64)
@@ -190,16 +197,15 @@ def evolve_step(
             weights, lab_pad, th_pad, grid.labels, grid.theta, new_labels, new_theta, 0, h, w
         )
     else:
-        with ThreadPoolExecutor(max_workers=len(blocks)) as pool:
-            flags = list(
-                pool.map(
-                    lambda rr: _attack_rows(
-                        weights, lab_pad, th_pad, grid.labels, grid.theta,
-                        new_labels, new_theta, rr[0], rr[1], w,
-                    ),
-                    blocks,
-                )
+        flags = list(
+            _pool(len(blocks)).map(
+                lambda rr: _attack_rows(
+                    weights, lab_pad, th_pad, grid.labels, grid.theta,
+                    new_labels, new_theta, rr[0], rr[1], w,
+                ),
+                blocks,
             )
+        )
         changed = any(flags)
     return AutomatonGrid(labels=new_labels, theta=new_theta, step=grid.step + 1), changed
 

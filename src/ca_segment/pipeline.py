@@ -273,7 +273,7 @@ def run_segment(config: PipelineConfig) -> RunReport:
         before = segmod.extract_segments(
             LabelRaster(labels=grid.labels), config.neighborhood
         )
-        grid, rounds_used, cleared = segmod.eliminate_oversegmentation(
+        grid, rounds_used, cleared, final = segmod.eliminate_oversegmentation(
             grid,
             image,
             config.neighborhood,
@@ -283,9 +283,7 @@ def run_segment(config: PipelineConfig) -> RunReport:
             max_iters=max_iters,
             threads=config.threads,
             weights=weights,
-        )
-        final = segmod.extract_segments(
-            LabelRaster(labels=grid.labels), config.neighborhood
+            segs=before,
         )
 
     with phases.measure("signatures"):

@@ -82,14 +82,20 @@ def compute_sum_histogram(image: MultibandImage) -> np.ndarray:
 
 
 def _smooth(counts, window):
-    # centered moving average; the window shrinks at the domain edges so the
-    # denominator only counts bins that exist
+    # centered moving average over an odd window; the window shrinks at the
+    # domain edges so the denominator only counts bins that exist. Interior
+    # bins take one slice of the prefix sums; only the at most 2 * half edge
+    # bins need the clipped bounds.
     half = window // 2
+    n = len(counts)
     csum = np.concatenate(([0.0], np.cumsum(counts, dtype=np.float64)))
-    idx = np.arange(len(counts))
-    lo = np.maximum(idx - half, 0)
-    hi = np.minimum(idx + half, len(counts) - 1)
-    return (csum[hi + 1] - csum[lo]) / (hi - lo + 1)
+    out = np.empty(n, dtype=np.float64)
+    out[half : n - half] = (csum[window:] - csum[:-window]) / window
+    edge = np.concatenate((np.arange(min(half, n)), np.arange(max(half, n - half), n)))
+    lo = np.maximum(edge - half, 0)
+    hi = np.minimum(edge + half, n - 1)
+    out[edge] = (csum[hi + 1] - csum[lo]) / (hi - lo + 1)
+    return out
 
 
 def _plateau_peaks(smoothed):

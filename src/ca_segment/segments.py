@@ -133,12 +133,15 @@ def eliminate_oversegmentation(
     threads: int = 1,
     connectivity: NeighborhoodKind | None = None,
     weights=None,
+    segs: SegmentSet | None = None,
 ):
-    """Repeat {extract, null undersized, reconverge} until the scale holds.
+    """Repeat {null undersized, reconverge, extract} until the scale holds.
 
     Requires at least one segment at or above ``min_area`` to regrow from.
-    Returns (grid, rounds_used, cleared_per_round); a round only counts when
-    it cleared something, so a clean grid reports 0 rounds.
+    ``segs`` may carry the caller's extraction of ``grid`` so it is not
+    labelled again. Returns (grid, rounds_used, cleared_per_round, segs),
+    where ``segs`` is the extraction of the returned grid; a round only
+    counts when it cleared something, so a clean grid reports 0 rounds.
     """
     if max_rounds < 1:
         raise ContractError("max_rounds must be >= 1")
@@ -146,11 +149,12 @@ def eliminate_oversegmentation(
         connectivity = nb
     if max_iters is None:
         max_iters = 10 * (grid.width + grid.height)
+    if segs is None:
+        segs = extract_segments(LabelRaster(labels=grid.labels), connectivity)
 
     rounds_used = 0
     cleared_per_round = []
     for _ in range(max_rounds):
-        segs = extract_segments(LabelRaster(labels=grid.labels), connectivity)
         if not segs.segments:
             raise ContractError("grid carries no labeled segments; nothing to grow from")
         small = [s for s in segs.segments if s.area < min_area]
@@ -165,9 +169,10 @@ def eliminate_oversegmentation(
         grid, _, _ = run_to_convergence(
             grid, image, nb, params, max_iters=max_iters, threads=threads, weights=weights
         )
+        segs = extract_segments(LabelRaster(labels=grid.labels), connectivity)
         rounds_used += 1
         cleared_per_round.append(cleared)
-    return grid, rounds_used, cleared_per_round
+    return grid, rounds_used, cleared_per_round, segs
 
 
 def medoid_signature(image: MultibandImage, pixels, sample_cap: int = 4096) -> np.ndarray:
@@ -177,11 +182,13 @@ def medoid_signature(image: MultibandImage, pixels, sample_cap: int = 4096) -> n
     ``sample_cap`` are reduced to a deterministic evenly strided subsample
     of exactly ``sample_cap`` members before the quadratic scan.
 
-    Squared distances come from the Gram form |a|² + |b|² − 2·a·b, one
-    block of rows at a time. This is exact: samples are integers of at
-    most 16 bits, so every product and partial sum is an integer below
-    2⁵³ for any band count under about 10⁶, whatever order BLAS sums them
-    in, and the correctly rounded square root then matches the direct
+    Each block of squared distances is one matmul over augmented vectors,
+    [-2a, |a|², 1] · [b, 1, |b|²]ᵀ = |a|² + |b|² − 2·a·b. This is exact:
+    samples are integers of at most 16 bits, so every term is an integer
+    and every partial sum is bounded by the sum of the terms' magnitudes,
+    |a|² + |b|² + 2·|a·b| ≤ 4·bands·(2^depth − 1)², which stays below 2⁵³
+    for any band count under about 5·10⁵, whatever order BLAS sums them
+    in. The correctly rounded square root then matches the direct
     difference form bit for bit. Each row of distances is a C-contiguous
     array of length m summed with ``sum(axis=1)``; numpy's pairwise
     summation depends on that layout, so the sums, and the argmin on a
@@ -200,15 +207,15 @@ def medoid_signature(image: MultibandImage, pixels, sample_cap: int = 4096) -> n
     flat = image.data.reshape(-1, image.bands)
     vectors = flat[idx].astype(np.float64)
     m = vectors.shape[0]
-    norms = (vectors * vectors).sum(axis=1)
-    sums = np.zeros(m, dtype=np.float64)
+    norms = (vectors * vectors).sum(axis=1)[:, None]
+    ones = np.ones((m, 1), dtype=np.float64)
+    left = np.hstack((-2.0 * vectors, norms, ones))
+    right = np.hstack((vectors, ones, norms))
+    sums = np.empty(m, dtype=np.float64)
     chunk = max(1, min(m, 1024 * 1024 // (8 * m)))  # ~1 MiB of distances
     for start in range(0, m, chunk):
         stop = start + chunk
-        dist = vectors[start:stop] @ vectors.T
-        dist *= -2.0
-        dist += norms
-        dist += norms[start:stop, None]
+        dist = left[start:stop] @ right.T
         np.sqrt(dist, out=dist)
         sums[start:stop] = dist.sum(axis=1)
     best = int(np.argmin(sums))  # first minimum = lowest pixel index

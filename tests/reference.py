@@ -42,6 +42,16 @@ def classify_by_rule(vector, delta_rel):
     return best
 
 
+def smooth_by_gather(counts, window):
+    """Centered moving average with every bin's clipped bounds gathered."""
+    half = window // 2
+    csum = np.concatenate(([0.0], np.cumsum(counts, dtype=np.float64)))
+    idx = np.arange(len(counts))
+    lo = np.maximum(idx - half, 0)
+    hi = np.minimum(idx + half, len(counts) - 1)
+    return (csum[hi + 1] - csum[lo]) / (hi - lo + 1)
+
+
 def plateau_peaks_by_loop(smoothed):
     """Local-maximum runs by a left-to-right scan; one middle index per run.
 

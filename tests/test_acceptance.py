@@ -216,7 +216,7 @@ def test_elimination_soundness(capsys):
                 if not any(s.area >= min_area for s in segs.segments):
                     continue
                 counted += 1
-                out, rounds_used, _ = eliminate_oversegmentation(
+                out, rounds_used, _, _ = eliminate_oversegmentation(
                     grid, image, NeighborhoodKind.MOORE8, params,
                     min_area=min_area, max_rounds=5,
                 )

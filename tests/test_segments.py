@@ -30,6 +30,15 @@ def image_from(data):
     return MultibandImage(data=np.asarray(data, dtype=np.uint8), depth=8)
 
 
+def assert_extraction_of(segs, labels, connectivity=NeighborhoodKind.MOORE8):
+    fresh = extract_segments(LabelRaster(labels=labels), connectivity)
+    assert (segs.seg_map == fresh.seg_map).all()
+    assert len(segs) == len(fresh)
+    for got, want in zip(segs.segments, fresh.segments):
+        assert (got.id, got.label, got.area) == (want.id, want.label, want.area)
+        assert got.pixels.tolist() == want.pixels.tolist()
+
+
 class TestExtractSegments:
     def test_two_horizontal_bands(self):
         segs = extract_segments(raster([[1, 1], [2, 2]]), NeighborhoodKind.MOORE8)
@@ -122,19 +131,20 @@ class TestEliminateOversegmentation:
     def test_clean_grid_uses_zero_rounds(self):
         image = image_from(np.full((2, 3, 1), 9))
         grid = grid_from_labels([[1, 1, 1], [1, 1, 1]])
-        out, rounds, cleared = eliminate_oversegmentation(
+        out, rounds, cleared, segs = eliminate_oversegmentation(
             grid, image, NeighborhoodKind.MOORE8,
             AttenuationParams.for_image(image), min_area=2,
         )
         assert (rounds, cleared) == (0, [])
         assert (out.labels == grid.labels).all()
+        assert_extraction_of(segs, out.labels)
 
     def test_small_island_absorbed(self):
         image = image_from(np.full((8, 8, 2), 40))
         labels = np.ones((8, 8), dtype=np.uint32)
         labels[:2, :2] = 2
         grid = grid_from_labels(labels)
-        out, rounds, cleared = eliminate_oversegmentation(
+        out, rounds, cleared, returned = eliminate_oversegmentation(
             grid, image, NeighborhoodKind.MOORE8,
             AttenuationParams.for_image(image), min_area=5,
         )
@@ -143,13 +153,46 @@ class TestEliminateOversegmentation:
         segs = extract_segments(LabelRaster(labels=out.labels), NeighborhoodKind.MOORE8)
         assert len(segs) == 1
         assert segs.segments[0].area == 64
+        assert_extraction_of(returned, out.labels)
+
+    def test_exhausted_rounds_return_the_leftover_segment(self):
+        # the freed cell takes the diagonal label 1 first in scan order, which
+        # is a one-cell component under edge connectivity, so every round
+        # clears it again and the rounds run out
+        image = image_from(np.full((3, 4, 1), 7))
+        grid = grid_from_labels([[1, 1, 2, 2], [2, 2, 3, 2], [2, 2, 2, 2]])
+        out, rounds, cleared, segs = eliminate_oversegmentation(
+            grid, image, NeighborhoodKind.MOORE8,
+            AttenuationParams.for_image(image), min_area=2, max_rounds=3,
+            connectivity=NeighborhoodKind.VONNEUMANN4,
+        )
+        assert (rounds, cleared) == (3, [1, 1, 1])
+        assert out.labels.tolist() == [[1, 1, 2, 2], [2, 2, 1, 2], [2, 2, 2, 2]]
+        assert_extraction_of(segs, out.labels, NeighborhoodKind.VONNEUMANN4)
+        assert sorted(segs.areas().tolist()) == [1, 2, 9]
+
+    def test_iteration_cap_leaves_null_cells_in_returned_segments(self):
+        # two steps refill only a two-cell ring of the freed 20 x 20 island
+        image = image_from(np.full((40, 40, 1), 30))
+        labels = np.ones((40, 40), dtype=np.uint32)
+        labels[10:30, 10:30] = 2
+        grid = grid_from_labels(labels)
+        out, rounds, cleared, segs = eliminate_oversegmentation(
+            grid, image, NeighborhoodKind.MOORE8,
+            AttenuationParams.for_image(image), min_area=500, max_iters=2,
+        )
+        assert (rounds, cleared) == (1, [1])
+        assert_extraction_of(segs, out.labels)
+        assert int((segs.seg_map == 0).sum()) == 256
+        assert (segs.seg_map[12:28, 12:28] == 0).all()
+        assert segs.areas().tolist() == [1600 - 256]
 
     def test_freed_cell_goes_to_first_scanned_flank(self):
         # equal-strength attacks from both sides of the freed cell; the
         # left neighbor is scanned first and strict comparison keeps it
         image = image_from(np.full((1, 9, 1), 7))
         grid = grid_from_labels([[1, 1, 1, 1, 2, 3, 3, 3, 3]])
-        out, rounds, _ = eliminate_oversegmentation(
+        out, rounds, _, _ = eliminate_oversegmentation(
             grid, image, NeighborhoodKind.MOORE8,
             AttenuationParams.for_image(image), min_area=2,
         )
@@ -194,7 +237,7 @@ class TestEliminateOversegmentation:
             min_area = int(rng.integers(2, 7))
             params = AttenuationParams.for_image(image)
             try:
-                out, rounds, cleared = eliminate_oversegmentation(
+                out, rounds, cleared, returned = eliminate_oversegmentation(
                     grid, image, NeighborhoodKind.MOORE8, params,
                     min_area=min_area, max_rounds=5,
                 )
@@ -205,6 +248,7 @@ class TestEliminateOversegmentation:
             assert (out.labels != 0).all()
             segs = extract_segments(LabelRaster(labels=out.labels), NeighborhoodKind.MOORE8)
             assert all(s.area >= min_area for s in segs.segments)
+            assert_extraction_of(returned, out.labels)
 
 
 class TestMedoidSignature:
@@ -256,11 +300,14 @@ class TestMedoidSignature:
         # vectors at 0 and 65535 give the largest products the distance
         # kernel must sum exactly; a few distinct vectors in equal numbers
         # give equal or nearly equal distance sums, which only the fixed
-        # row-sum layout orders the same way as the oracle
+        # row-sum layout orders the same way as the oracle; 64 and 255 bands
+        # put the squared norms near 10^12, the top of the exact range. The
+        # wide cases draw fewer members because the oracle holds k * k * bands
+        # differences at once.
         rng = np.random.default_rng(83)
-        for bands in range(1, 13):
+        for bands in (*range(1, 13), 64, 255):
             for distinct in (2, 3, 5):
-                k = int(rng.integers(9, 301))
+                k = int(rng.integers(9, 301 if bands <= 12 else 121))
                 palette = rng.choice([0, 65535], size=(distinct, bands))
                 vectors = palette[rng.permutation(np.arange(k) % distinct)].astype(np.uint16)
                 image = MultibandImage(data=vectors[None], depth=16)
@@ -270,7 +317,7 @@ class TestMedoidSignature:
 
     def test_sixteen_bit_balanced_tie_takes_lowest_index(self):
         # two distinct vectors in equal numbers have exactly equal sums
-        for bands in range(1, 13):
+        for bands in (*range(1, 13), 64, 255):
             a = np.zeros(bands, dtype=np.uint16)
             b = np.full(bands, 65535, dtype=np.uint16)
             data = np.array([b, a] * 50, dtype=np.uint16).reshape(10, 10, bands)
