@@ -82,11 +82,15 @@ class AutomatonGrid:
         return self.labels.shape[1]
 
 
-def attenuation(d: float, params: AttenuationParams) -> float:
-    """Attack factor for spectral distance ``d``: max(epsilon, 1 - d/d_max)."""
-    if d < 0:
+def attenuation(d, params: AttenuationParams):
+    """Attack factor for spectral distance ``d``: max(epsilon, 1 - d/d_max).
+
+    ``d`` may be a scalar or an array of distances; the factor is taken
+    elementwise.
+    """
+    if np.any(np.asarray(d) < 0):
         raise ContractError("spectral distance must be >= 0")
-    return max(params.epsilon, 1.0 - d / params.d_max)
+    return np.maximum(params.epsilon, 1.0 - d / params.d_max)
 
 
 def init_from_seeds(width: int, height: int, seeds: SeedMap) -> AutomatonGrid:
@@ -130,9 +134,7 @@ def neighbor_weights(
             diff = cell[:, :, b] - neigh[:, :, b]
             sq += diff * diff
         plane = np.zeros((h, w), dtype=np.float64)
-        plane[r0:r1, c0:c1] = np.maximum(
-            params.epsilon, 1.0 - np.sqrt(sq) / params.d_max
-        )
+        plane[r0:r1, c0:c1] = attenuation(np.sqrt(sq), params)
         planes.append((dr, dc, plane))
     return planes
 
@@ -164,24 +166,15 @@ def _row_blocks(height, threads):
     return [(int(a), int(b)) for a, b in zip(bounds, bounds[1:]) if b > a]
 
 
-def evolve_step(
-    grid: AutomatonGrid,
-    image: MultibandImage,
-    nb: NeighborhoodKind,
-    params: AttenuationParams,
-    weights=None,
-    threads: int = 1,
-):
+def evolve_step(grid: AutomatonGrid, weights, threads: int = 1):
     """One synchronous evolution step; returns (grid at t+1, changed).
 
-    ``weights`` may carry planes from :func:`neighbor_weights` to avoid
-    recomputing them on every step. Row blocks are processed in parallel
-    when ``threads`` > 1; the result is independent of the block layout.
+    ``weights`` are the planes from :func:`neighbor_weights`. Row blocks are
+    processed in parallel when ``threads`` > 1; the result is independent
+    of the block layout.
     """
-    if (grid.height, grid.width) != (image.height, image.width):
-        raise ContractError("grid and image dimensions do not match")
-    if weights is None:
-        weights = neighbor_weights(image, nb, params)
+    if any(plane.shape != grid.labels.shape for _, _, plane in weights):
+        raise ContractError("grid and weight plane dimensions do not match")
 
     h, w = grid.height, grid.width
     lab_pad = np.zeros((h + 2, w + 2), dtype=np.uint32)
@@ -210,15 +203,7 @@ def evolve_step(
     return AutomatonGrid(labels=new_labels, theta=new_theta, step=grid.step + 1), changed
 
 
-def run_to_convergence(
-    grid: AutomatonGrid,
-    image: MultibandImage,
-    nb: NeighborhoodKind,
-    params: AttenuationParams,
-    max_iters: int,
-    threads: int = 1,
-    weights=None,
-):
+def run_to_convergence(grid: AutomatonGrid, weights, max_iters: int, threads: int = 1):
     """Evolve until a step changes nothing or ``max_iters`` is reached.
 
     Returns (grid, steps_executed, converged); the count includes the final
@@ -226,12 +211,10 @@ def run_to_convergence(
     """
     if max_iters < 1:
         raise ContractError("max_iters must be >= 1")
-    if weights is None:
-        weights = neighbor_weights(image, nb, params)
     steps = 0
     converged = False
     while steps < max_iters:
-        grid, changed = evolve_step(grid, image, nb, params, weights=weights, threads=threads)
+        grid, changed = evolve_step(grid, weights, threads=threads)
         steps += 1
         if not changed:
             converged = True

@@ -132,7 +132,6 @@ def _config_from_args(args) -> PipelineConfig:
         out_stats=args.out_stats,
         out_preview=getattr(args, "out_preview", None),
         preview_bands=getattr(args, "preview_bands", None),
-        strict=args.strict,
     )
 
 

@@ -7,6 +7,7 @@ between otherwise identical runs.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import time
 from dataclasses import dataclass, field
@@ -49,7 +50,6 @@ class PipelineConfig:
     out_stats: str | None = None
     out_preview: str | None = None
     preview_bands: tuple[int, int, int] | None = None
-    strict: bool = False
 
     def validate(self):
         if self.min_area < 1:
@@ -119,25 +119,14 @@ class RunReport:
         return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
 
 
-class _Phases:
-    """Wall-time bookkeeping per pipeline phase."""
-
-    def __init__(self):
-        self.times = {}
-
-    def measure(self, name):
-        phases = self
-
-        class _Timer:
-            def __enter__(self):
-                self.start = time.perf_counter()
-
-            def __exit__(self, *exc):
-                phases.times[name] = phases.times.get(name, 0.0) + (
-                    time.perf_counter() - self.start
-                )
-
-        return _Timer()
+@contextlib.contextmanager
+def _phase(times, name):
+    """Add the wall time of the ``with`` body to ``times[name]``."""
+    start = time.perf_counter()
+    try:
+        yield
+    finally:
+        times[name] = times.get(name, 0.0) + (time.perf_counter() - start)
 
 
 def _load_input(config: PipelineConfig) -> MultibandImage:
@@ -156,10 +145,14 @@ def _load_input(config: PipelineConfig) -> MultibandImage:
     return image
 
 
-def _make_seeds(image, config, phases):
-    with phases.measure("histogram"):
+def _load_and_seed(config, times):
+    """Validate the config, load the image and build its ranges and seeds."""
+    config.validate()
+    with _phase(times, "load"):
+        image = _load_input(config)
+    with _phase(times, "histogram"):
         hist = seeding.compute_sum_histogram(image)
-    with phases.measure("ranges"):
+    with _phase(times, "ranges"):
         ranges = seeding.select_ranges(
             hist,
             smooth_window=config.smooth_window,
@@ -168,7 +161,7 @@ def _make_seeds(image, config, phases):
             half_width=config.half_width,
             max_peaks=config.max_peaks,
         )
-    with phases.measure("seeds"):
+    with _phase(times, "seeds"):
         seeds = seeding.generate_seeds(
             image, ranges, delta_rel=config.delta_rel, stride=config.stride
         )
@@ -181,7 +174,26 @@ def _make_seeds(image, config, phases):
             f"min_separation={config.min_separation}, half_width={config.half_width}, "
             f"max_peaks={config.max_peaks}, stride={config.stride})"
         )
-    return ranges, seeds
+    return image, ranges, seeds
+
+
+def _report(config, image, ranges, seeds, times, **fields) -> RunReport:
+    """Build the run's report and write it to ``out_stats`` if one is set."""
+    report = RunReport(
+        width=image.width,
+        height=image.height,
+        bands=image.bands,
+        depth=image.depth,
+        seed_count=len(seeds),
+        seed_fraction=len(seeds) / (image.width * image.height),
+        ranges=ranges,
+        timings=times,
+        **fields,
+    )
+    if config.out_stats:
+        with open(config.out_stats, "w", encoding="utf-8") as fh:
+            fh.write(report.to_json())
+    return report
 
 
 def _label_summary(seeds: seeding.SeedMap, final_labels=None) -> list[dict]:
@@ -209,84 +221,59 @@ def _label_summary(seeds: seeding.SeedMap, final_labels=None) -> list[dict]:
 
 def run_seeds(config: PipelineConfig) -> RunReport:
     """Histogram, range and seed construction only; writes the seed raster."""
-    config.validate()
-    phases = _Phases()
-    with phases.measure("load"):
-        image = _load_input(config)
-    ranges, seeds = _make_seeds(image, config, phases)
+    times = {}
+    image, ranges, seeds = _load_and_seed(config, times)
 
     seed_labels = np.zeros(image.height * image.width, dtype=np.uint32)
     seed_labels[seeds.pixel_indices] = seeds.labels
     seed_raster = LabelRaster(labels=seed_labels.reshape(image.height, image.width))
 
-    with phases.measure("write"):
+    with _phase(times, "write"):
         if config.out_labels:
             raster.save_label_raster(seed_raster, config.out_labels)
 
-    report = RunReport(
+    return _report(
+        config, image, ranges, seeds, times,
         mode="seeds",
-        width=image.width,
-        height=image.height,
-        bands=image.bands,
-        depth=image.depth,
-        seed_count=len(seeds),
-        seed_fraction=len(seeds) / (image.width * image.height),
         label_count=seeds.label_count,
-        ranges=ranges,
         label_summary=_label_summary(seeds),
-        timings=phases.times,
     )
-    if config.out_stats:
-        with open(config.out_stats, "w", encoding="utf-8") as fh:
-            fh.write(report.to_json())
-    return report
 
 
 def run_segment(config: PipelineConfig) -> RunReport:
     """The full pipeline: seed, converge, enforce the study scale, sign."""
-    config.validate()
-    phases = _Phases()
-    with phases.measure("load"):
-        image = _load_input(config)
-    ranges, seeds = _make_seeds(image, config, phases)
+    times = {}
+    image, ranges, seeds = _load_and_seed(config, times)
 
     params = AttenuationParams.for_image(image, epsilon=config.epsilon)
     max_iters = config.max_iters
     if max_iters is None:
         max_iters = 10 * (image.width + image.height)
 
-    with phases.measure("weights"):
+    with _phase(times, "weights"):
         weights = neighbor_weights(image, config.neighborhood, params)
-    with phases.measure("evolve"):
+    with _phase(times, "evolve"):
         grid = init_from_seeds(image.width, image.height, seeds)
         grid, steps, converged = run_to_convergence(
-            grid,
-            image,
-            config.neighborhood,
-            params,
-            max_iters=max_iters,
-            threads=config.threads,
-            weights=weights,
+            grid, weights, max_iters, threads=config.threads
         )
 
-    with phases.measure("segments"):
+    with _phase(times, "segments"):
         before = segmod.extract_segments(
             LabelRaster(labels=grid.labels), config.neighborhood
         )
         grid, rounds_used, cleared, final = segmod.eliminate_oversegmentation(
             grid,
-            image,
+            weights,
             config.neighborhood,
-            params,
             min_area=config.min_area,
-            max_rounds=config.max_rounds,
             max_iters=max_iters,
+            max_rounds=config.max_rounds,
             threads=config.threads,
-            weights=weights,
             segs=before,
         )
 
-    with phases.measure("signatures"):
+    with _phase(times, "signatures"):
         seg_summary = []
         signatures = {}
         for seg in final.segments:
@@ -302,7 +289,7 @@ def run_segment(config: PipelineConfig) -> RunReport:
             )
 
     label_raster = LabelRaster(labels=grid.labels.copy())
-    with phases.measure("write"):
+    with _phase(times, "write"):
         if config.out_labels:
             raster.save_label_raster(label_raster, config.out_labels)
         if config.out_preview:
@@ -317,16 +304,10 @@ def run_segment(config: PipelineConfig) -> RunReport:
                 config.out_preview,
             )
 
-    report = RunReport(
+    return _report(
+        config, image, ranges, seeds, times,
         mode="segment",
-        width=image.width,
-        height=image.height,
-        bands=image.bands,
-        depth=image.depth,
-        seed_count=len(seeds),
-        seed_fraction=len(seeds) / (image.width * image.height),
         label_count=label_raster.label_count(),
-        ranges=ranges,
         label_summary=_label_summary(seeds, final_labels=grid.labels),
         steps_to_convergence=steps,
         converged=converged,
@@ -335,12 +316,7 @@ def run_segment(config: PipelineConfig) -> RunReport:
         rounds_used=rounds_used,
         cleared_per_round=cleared,
         segment_summary=seg_summary,
-        timings=phases.times,
     )
-    if config.out_stats:
-        with open(config.out_stats, "w", encoding="utf-8") as fh:
-            fh.write(report.to_json())
-    return report
 
 
 def recompute_stats(labels_path, connectivity=NeighborhoodKind.MOORE8) -> dict:

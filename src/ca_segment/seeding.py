@@ -35,9 +35,6 @@ class SumRange:
         if not (self.lo <= self.peak <= self.hi):
             raise ContractError(f"range peak {self.peak} outside [{self.lo}, {self.hi}]")
 
-    def contains(self, value) -> bool:
-        return self.lo <= value <= self.hi
-
 
 @dataclass
 class SeedMap:
@@ -59,10 +56,6 @@ class SeedMap:
     @property
     def label_count(self) -> int:
         return len(self.label_table)
-
-    def entries(self):
-        """Iterate (pixel index, label id) pairs in scan order."""
-        return zip(self.pixel_indices.tolist(), self.labels.tolist())
 
 
 def region_name(region) -> str:
@@ -185,24 +178,24 @@ def select_ranges(
     return [SumRange(lo, hi, peak) for lo, hi, peak in merged]
 
 
-def classify_spectral_region(v, delta_rel: float = 0.1) -> int:
-    """Classify a pixel vector as BALANCED or by its dominating band.
+def classify_spectral_region(v, delta_rel: float = 0.1):
+    """Classify pixel vectors as BALANCED or by their dominating band.
 
-    Balanced means the spread max - min stays within ``delta_rel`` times the
-    mean level; otherwise the lowest band index attaining the maximum wins.
-    An all-zero vector is balanced.
+    The vector runs along the last axis of ``v``; a 1-D vector gives an
+    int, a stack of vectors an int64 array of their regions. Balanced
+    means the spread max - min stays within ``delta_rel`` times the mean
+    level; otherwise the lowest band index attaining the maximum wins. An
+    all-zero vector is balanced.
     """
-    arr = np.asarray(v)
-    if arr.ndim != 1 or arr.size < 1:
-        raise ContractError("spectral vector must be 1-D and non-empty")
+    levels = np.asarray(v).astype(np.int64, copy=False)
+    if levels.ndim < 1 or levels.shape[-1] < 1:
+        raise ContractError("spectral vector must have at least one band")
     if delta_rel < 0:
         raise ContractError("delta_rel must be >= 0")
-    levels = arr.astype(np.int64)
-    spread = int(levels.max() - levels.min())
-    mean = float(levels.sum()) / levels.size
-    if spread <= delta_rel * mean:
-        return BALANCED
-    return int(levels.argmax())
+    spread = levels.max(axis=-1) - levels.min(axis=-1)
+    mean = levels.sum(axis=-1) / levels.shape[-1]
+    region = np.where(spread <= delta_rel * mean, BALANCED, levels.argmax(axis=-1))
+    return int(region) if region.ndim == 0 else region
 
 
 def _validate_ranges(ranges):
@@ -241,9 +234,7 @@ def generate_seeds(
         inside = (sums >= r.lo) & (sums <= r.hi)
         range_idx[inside] = i
 
-    spread = data.max(axis=2) - data.min(axis=2)
-    mean = data.sum(axis=2) / n
-    region = np.where(spread <= delta_rel * mean, BALANCED, data.argmax(axis=2))
+    region = classify_spectral_region(data, delta_rel)
 
     rows, cols = np.nonzero(range_idx >= 0)  # row-major scan order
     if rows.size == 0:

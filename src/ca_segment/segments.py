@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import ndimage
 
-from .automaton import AutomatonGrid, AttenuationParams, NeighborhoodKind, run_to_convergence
+from .automaton import AutomatonGrid, NeighborhoodKind, run_to_convergence
 from .errors import ContractError
 from .raster import LabelRaster, MultibandImage
 
@@ -124,31 +124,26 @@ def null_small_segments(grid: AutomatonGrid, segs: SegmentSet, min_area: int):
 
 def eliminate_oversegmentation(
     grid: AutomatonGrid,
-    image: MultibandImage,
-    nb: NeighborhoodKind,
-    params: AttenuationParams,
+    weights,
+    connectivity: NeighborhoodKind,
     min_area: int,
+    max_iters: int,
     max_rounds: int = 5,
-    max_iters: int | None = None,
     threads: int = 1,
-    connectivity: NeighborhoodKind | None = None,
-    weights=None,
     segs: SegmentSet | None = None,
 ):
     """Repeat {null undersized, reconverge, extract} until the scale holds.
 
-    Requires at least one segment at or above ``min_area`` to regrow from.
-    ``segs`` may carry the caller's extraction of ``grid`` so it is not
-    labelled again. Returns (grid, rounds_used, cleared_per_round, segs),
-    where ``segs`` is the extraction of the returned grid; a round only
-    counts when it cleared something, so a clean grid reports 0 rounds.
+    ``weights`` are the automaton's planes from ``neighbor_weights`` and
+    ``connectivity`` decides which cells form one segment. Requires at
+    least one segment at or above ``min_area`` to regrow from. ``segs`` may
+    carry the caller's extraction of ``grid`` so it is not labelled again.
+    Returns (grid, rounds_used, cleared_per_round, segs), where ``segs`` is
+    the extraction of the returned grid; a round only counts when it
+    cleared something, so a clean grid reports 0 rounds.
     """
     if max_rounds < 1:
         raise ContractError("max_rounds must be >= 1")
-    if connectivity is None:
-        connectivity = nb
-    if max_iters is None:
-        max_iters = 10 * (grid.width + grid.height)
     if segs is None:
         segs = extract_segments(LabelRaster(labels=grid.labels), connectivity)
 
@@ -166,9 +161,7 @@ def eliminate_oversegmentation(
                 "(lower min_area or loosen the seeding parameters)"
             )
         grid, cleared = null_small_segments(grid, segs, min_area)
-        grid, _, _ = run_to_convergence(
-            grid, image, nb, params, max_iters=max_iters, threads=threads, weights=weights
-        )
+        grid, _, _ = run_to_convergence(grid, weights, max_iters, threads=threads)
         segs = extract_segments(LabelRaster(labels=grid.labels), connectivity)
         rounds_used += 1
         cleared_per_round.append(cleared)

@@ -29,6 +29,7 @@ from ca_segment import (
     load_envi_bsq,
     load_label_raster,
     medoid_signature,
+    neighbor_weights,
     run_segment,
     run_to_convergence,
     save_envi_bsq,
@@ -91,9 +92,8 @@ def test_wavefront_convergence(capsys):
             grid = init_from_seeds(n, n, seeds)
 
             start = time.perf_counter()
-            out, steps, converged = run_to_convergence(
-                grid, image, NeighborhoodKind.MOORE8, params, max_iters=10 * n
-            )
+            weights = neighbor_weights(image, NeighborhoodKind.MOORE8, params)
+            out, steps, converged = run_to_convergence(grid, weights, max_iters=10 * n)
             elapsed += time.perf_counter() - start
 
             r0 = c0 = n // 2
@@ -163,9 +163,10 @@ def test_strength_monotonicity(capsys):
             )
             params = AttenuationParams.for_image(image)
             nb = NeighborhoodKind.MOORE8 if run % 2 else NeighborhoodKind.VONNEUMANN4
+            weights = neighbor_weights(image, nb, params)
             grid = init_from_seeds(w, h, seeds)
             for _ in range(10 * (w + h)):
-                new_grid, changed = evolve_step(grid, image, nb, params)
+                new_grid, changed = evolve_step(grid, weights)
                 if not (new_grid.theta >= grid.theta).all():
                     violations += 1
                 if not (new_grid.theta <= 1.0).all():
@@ -204,10 +205,10 @@ def test_elimination_soundness(capsys):
                     list(zip(idx.tolist(), range(1, count + 1)))
                 )
                 params = AttenuationParams.for_image(image)
+                weights = neighbor_weights(image, NeighborhoodKind.MOORE8, params)
                 grid = init_from_seeds(w, h, seeds)
                 grid, _, converged = run_to_convergence(
-                    grid, image, NeighborhoodKind.MOORE8, params,
-                    max_iters=10 * (w + h),
+                    grid, weights, max_iters=10 * (w + h)
                 )
                 assert converged
                 segs = extract_segments(
@@ -217,8 +218,8 @@ def test_elimination_soundness(capsys):
                     continue
                 counted += 1
                 out, rounds_used, _, _ = eliminate_oversegmentation(
-                    grid, image, NeighborhoodKind.MOORE8, params,
-                    min_area=min_area, max_rounds=5,
+                    grid, weights, NeighborhoodKind.MOORE8,
+                    min_area=min_area, max_iters=10 * (w + h), max_rounds=5,
                 )
                 if rounds_used > 5:
                     violations += 1

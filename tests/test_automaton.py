@@ -12,6 +12,7 @@ from ca_segment import (
     attenuation,
     evolve_step,
     init_from_seeds,
+    neighbor_weights,
     run_to_convergence,
 )
 
@@ -26,6 +27,10 @@ def seed_map(pairs):
     labels = np.array([l for _, l in pairs], dtype=np.uint32)
     table = {(0, int(l)): int(l) for l in sorted(set(labels.tolist()))}
     return SeedMap(pixel_indices=idx, labels=labels, label_table=table)
+
+
+def weights_for(image, nb=NeighborhoodKind.MOORE8):
+    return neighbor_weights(image, nb, AttenuationParams.for_image(image))
 
 
 def random_setup(rng, max_side=32, max_bands=4):
@@ -54,8 +59,17 @@ class TestAttenuation:
 
     def test_monotone_non_increasing(self):
         params = AttenuationParams(d_max=441.7)
-        values = [attenuation(d, params) for d in np.linspace(0, 600, 50)]
+        distances = np.linspace(0, 600, 50)
+        values = [attenuation(d, params) for d in distances]
         assert all(a >= b for a, b in zip(values, values[1:]))
+        assert attenuation(distances, params).tolist() == values
+
+    def test_negative_distance_rejected(self):
+        params = AttenuationParams(d_max=100.0)
+        with pytest.raises(ContractError):
+            attenuation(-1.0, params)
+        with pytest.raises(ContractError):
+            attenuation(np.array([0.0, 5.0, -1e-9, 50.0]), params)
 
     def test_for_image_d_max(self):
         image = image_from(np.zeros((1, 1, 3)))
@@ -79,15 +93,13 @@ class TestInitFromSeeds:
     def test_no_seeds_is_immediate_fixpoint(self):
         grid = init_from_seeds(3, 2, seed_map([]))
         image = image_from(np.zeros((2, 3, 1)))
-        params = AttenuationParams.for_image(image)
-        _, changed = evolve_step(grid, image, NeighborhoodKind.MOORE8, params)
+        _, changed = evolve_step(grid, weights_for(image))
         assert not changed
 
     def test_fully_seeded_is_fixpoint(self):
         grid = init_from_seeds(2, 2, seed_map([(0, 1), (1, 1), (2, 2), (3, 2)]))
         image = image_from(np.zeros((2, 2, 1)))
-        params = AttenuationParams.for_image(image)
-        next_grid, changed = evolve_step(grid, image, NeighborhoodKind.MOORE8, params)
+        next_grid, changed = evolve_step(grid, weights_for(image))
         assert not changed
         assert (next_grid.labels == grid.labels).all()
 
@@ -104,8 +116,7 @@ class TestEvolveStep:
     def test_one_step_colonizes_only_adjacent(self):
         image = image_from(np.full((1, 3, 1), 10))
         grid = init_from_seeds(3, 1, seed_map([(0, 1)]))
-        params = AttenuationParams.for_image(image)
-        grid, changed = evolve_step(grid, image, NeighborhoodKind.MOORE8, params)
+        grid, changed = evolve_step(grid, weights_for(image))
         assert changed
         # uniform image: attack strength 1 reaches cell 1; cell 2's only
         # labeled neighbor was still null at step t
@@ -116,8 +127,7 @@ class TestEvolveStep:
         image = image_from(np.zeros((2, 2, 1)))
         grid = init_from_seeds(3, 3, seed_map([(0, 1)]))
         with pytest.raises(ContractError):
-            evolve_step(grid, image, NeighborhoodKind.MOORE8,
-                        AttenuationParams.for_image(image))
+            evolve_step(grid, weights_for(image))
 
     def test_matches_loop_reference_bitwise(self):
         rng = np.random.default_rng(41)
@@ -125,10 +135,11 @@ class TestEvolveStep:
             for _ in range(10):
                 image, seeds = random_setup(rng, max_side=12)
                 params = AttenuationParams.for_image(image)
+                weights = neighbor_weights(image, nb, params)
                 grid = init_from_seeds(image.width, image.height, seeds)
                 ref_labels, ref_theta = grid.labels.copy(), grid.theta.copy()
                 for _ in range(6):
-                    grid, _ = evolve_step(grid, image, nb, params)
+                    grid, _ = evolve_step(grid, weights)
                     ref_labels, ref_theta = reference.evolve_by_loop(
                         ref_labels, ref_theta, image.data, nb.offsets(),
                         params.epsilon, params.d_max,
@@ -139,14 +150,13 @@ class TestEvolveStep:
     def test_thread_counts_bit_identical(self):
         rng = np.random.default_rng(43)
         image, seeds = random_setup(rng, max_side=24)
-        params = AttenuationParams.for_image(image)
+        weights = weights_for(image)
         base = init_from_seeds(image.width, image.height, seeds)
         results = []
         for threads in (1, 2, 3, 8):
             grid = base
             for _ in range(5):
-                grid, _ = evolve_step(grid, image, NeighborhoodKind.MOORE8,
-                                      params, threads=threads)
+                grid, _ = evolve_step(grid, weights, threads=threads)
             results.append(grid)
         for other in results[1:]:
             assert (other.labels == results[0].labels).all()
@@ -157,8 +167,7 @@ class TestEvolveStep:
         # neighbor scanned first (lower row-major offset) must win
         image = image_from(np.full((1, 3, 1), 10))
         grid = init_from_seeds(3, 1, seed_map([(0, 1), (2, 2)]))
-        params = AttenuationParams.for_image(image)
-        grid, _ = evolve_step(grid, image, NeighborhoodKind.MOORE8, params)
+        grid, _ = evolve_step(grid, weights_for(image))
         assert grid.labels[0, 1] == 1
 
 
@@ -166,10 +175,7 @@ class TestRunToConvergence:
     def test_line_needs_two_passes_plus_verification(self):
         image = image_from(np.full((1, 3, 1), 10))
         grid = init_from_seeds(3, 1, seed_map([(0, 1)]))
-        params = AttenuationParams.for_image(image)
-        grid, steps, converged = run_to_convergence(
-            grid, image, NeighborhoodKind.MOORE8, params, max_iters=100
-        )
+        grid, steps, converged = run_to_convergence(grid, weights_for(image), max_iters=100)
         assert (steps, converged) == (3, True)
         assert (grid.labels == 1).all()
         assert (grid.theta == 1.0).all()
@@ -179,9 +185,8 @@ class TestRunToConvergence:
         image = image_from(np.full((n, n, 2), 77))
         center = (n // 2) * n + n // 2
         grid = init_from_seeds(n, n, seed_map([(center, 1)]))
-        params = AttenuationParams.for_image(image)
         grid, steps, converged = run_to_convergence(
-            grid, image, NeighborhoodKind.MOORE8, params, max_iters=10 * n
+            grid, weights_for(image), max_iters=10 * n
         )
         r0 = c0 = n // 2
         ecc = max(max(abs(r - r0), abs(c - c0)) for r in (0, n - 1) for c in (0, n - 1))
@@ -192,27 +197,20 @@ class TestRunToConvergence:
     def test_already_converged_is_one_step(self):
         image = image_from(np.zeros((2, 2, 1)))
         grid = init_from_seeds(2, 2, seed_map([(i, 1) for i in range(4)]))
-        params = AttenuationParams.for_image(image)
-        _, steps, converged = run_to_convergence(
-            grid, image, NeighborhoodKind.MOORE8, params, max_iters=10
-        )
+        _, steps, converged = run_to_convergence(grid, weights_for(image), max_iters=10)
         assert (steps, converged) == (1, True)
 
     def test_max_iters_cap_reported(self):
         image = image_from(np.full((1, 5, 1), 10))
         grid = init_from_seeds(5, 1, seed_map([(0, 1)]))
-        params = AttenuationParams.for_image(image)
-        _, steps, converged = run_to_convergence(
-            grid, image, NeighborhoodKind.MOORE8, params, max_iters=2
-        )
+        _, steps, converged = run_to_convergence(grid, weights_for(image), max_iters=2)
         assert (steps, converged) == (2, False)
 
     def test_invalid_max_iters(self):
         image = image_from(np.zeros((1, 1, 1)))
         grid = init_from_seeds(1, 1, seed_map([(0, 1)]))
         with pytest.raises(ContractError):
-            run_to_convergence(grid, image, NeighborhoodKind.MOORE8,
-                               AttenuationParams.for_image(image), max_iters=0)
+            run_to_convergence(grid, weights_for(image), max_iters=0)
 
 
 class TestEvolutionInvariants:
@@ -221,11 +219,11 @@ class TestEvolutionInvariants:
         for trial in range(25):
             nb = NeighborhoodKind.MOORE8 if trial % 2 else NeighborhoodKind.VONNEUMANN4
             image, seeds = random_setup(rng, max_side=16)
-            params = AttenuationParams.for_image(image)
+            weights = weights_for(image, nb)
             grid = init_from_seeds(image.width, image.height, seeds)
             seed_labels = set(seeds.labels.tolist())
             for _ in range(10 * (image.width + image.height)):
-                new_grid, changed = evolve_step(grid, image, nb, params)
+                new_grid, changed = evolve_step(grid, weights)
                 assert (new_grid.theta >= grid.theta).all()
                 assert (new_grid.theta <= 1.0).all()
                 assert ((new_grid.labels == 0) == (new_grid.theta == 0.0)).all()
@@ -239,13 +237,11 @@ class TestEvolutionInvariants:
     def test_fixpoint_is_stable(self):
         rng = np.random.default_rng(53)
         image, seeds = random_setup(rng, max_side=12)
-        params = AttenuationParams.for_image(image)
+        weights = weights_for(image)
         grid = init_from_seeds(image.width, image.height, seeds)
-        grid, _, converged = run_to_convergence(
-            grid, image, NeighborhoodKind.MOORE8, params, max_iters=1000
-        )
+        grid, _, converged = run_to_convergence(grid, weights, max_iters=1000)
         assert converged
-        again, changed = evolve_step(grid, image, NeighborhoodKind.MOORE8, params)
+        again, changed = evolve_step(grid, weights)
         assert not changed
         assert (again.labels == grid.labels).all()
         assert (again.theta == grid.theta).all()
@@ -255,11 +251,9 @@ class TestEvolutionInvariants:
         for _ in range(10):
             image, _ = random_setup(rng, max_side=12)
             seeds = seed_map([(0, 1)])
-            params = AttenuationParams.for_image(image)
             grid = init_from_seeds(image.width, image.height, seeds)
             grid, _, converged = run_to_convergence(
-                grid, image, NeighborhoodKind.MOORE8, params,
-                max_iters=10 * (image.width + image.height),
+                grid, weights_for(image), max_iters=10 * (image.width + image.height)
             )
             assert converged
             assert (grid.labels != 0).all()
@@ -278,10 +272,9 @@ class TestEvolutionInvariants:
             left = (rng.integers(0, h) * w + rng.integers(0, split))
             right = (rng.integers(0, h) * w + rng.integers(split, w))
             seeds = seed_map(sorted([(int(left), 1), (int(right), 2)]))
-            params = AttenuationParams.for_image(image)
             grid = init_from_seeds(w, h, seeds)
             grid, _, converged = run_to_convergence(
-                grid, image, NeighborhoodKind.MOORE8, params, max_iters=10 * (w + h)
+                grid, weights_for(image), max_iters=10 * (w + h)
             )
             assert converged
             assert (grid.labels[:, :split] == 1).all()

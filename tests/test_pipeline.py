@@ -258,6 +258,15 @@ class TestCli:
         assert code == 2
         assert "min_area" in capsys.readouterr().err
 
+    def test_negative_delta_rel_exits_2(self, tmp_path, capsys):
+        # a flat (100, 100, 100) region must not be labelled as dominated by band 0
+        path = write_envi(tmp_path / "img.bsq", two_region_data(left=(100, 100, 100)))
+        for command in ("segment", "seeds"):
+            args = self.segment_args(tmp_path, path, "--delta-rel", "-0.5")
+            args[0] = command
+            assert main(args) == 2
+            assert "delta_rel must be >= 0" in capsys.readouterr().err
+
     def test_iteration_cap_is_a_warning_unless_strict(self, tmp_path, capsys):
         path = write_envi(tmp_path / "img.bsq", two_region_data())
         args = self.segment_args(

@@ -68,7 +68,7 @@ class TestSelectRanges:
         ranges = select_ranges(hist, min_separation=10)
         assert len(ranges) == 1
         assert ranges[0].peak == 51
-        assert ranges[0].contains(50) and ranges[0].contains(53)
+        assert ranges[0].lo <= 50 and 53 <= ranges[0].hi
 
     def test_close_spikes_keep_taller_unsmoothed(self):
         hist = np.zeros(256, dtype=np.int64)
@@ -154,10 +154,27 @@ class TestClassify:
 
     def test_random_against_rule_oracle(self):
         rng = np.random.default_rng(6)
-        for _ in range(200):
-            v = rng.integers(0, 256, size=int(rng.integers(1, 6)))
-            delta = float(rng.uniform(0.0, 0.5))
-            assert classify_spectral_region(v, delta) == reference.classify_by_rule(v, delta)
+        cases = []
+        for top in (256, 65536):
+            for _ in range(200):
+                v = rng.integers(0, top, size=int(rng.integers(1, 6)))
+                delta = float(rng.uniform(0.0, 0.5))
+                assert classify_spectral_region(v, delta) == reference.classify_by_rule(v, delta)
+                cases.append((v, delta))
+        # the same vectors stacked by band count, one row per vector
+        for bands in range(1, 6):
+            stack = np.array([v for v, _ in cases if v.size == bands])
+            for delta in {d for v, d in cases if v.size == bands}:
+                got = classify_spectral_region(stack, delta)
+                assert got.tolist() == [reference.classify_by_rule(row, delta) for row in stack]
+
+    def test_invalid_input_rejected(self):
+        with pytest.raises(ContractError, match="delta_rel must be >= 0"):
+            classify_spectral_region((100, 100, 100), -0.5)
+        with pytest.raises(ContractError, match="delta_rel must be >= 0"):
+            classify_spectral_region(np.full((2, 2, 3), 100), -0.5)
+        with pytest.raises(ContractError):
+            classify_spectral_region((), 0.1)
 
 
 class TestGenerateSeeds:
@@ -219,7 +236,7 @@ class TestGenerateSeeds:
             entries, table = reference.seeds_by_loop(
                 image.data, [(r.lo, r.hi) for r in ranges], delta, stride
             )
-            assert list(seeds.entries()) == entries
+            assert list(zip(seeds.pixel_indices.tolist(), seeds.labels.tolist())) == entries
             assert seeds.label_table == table
 
     def test_label_count_bound(self):

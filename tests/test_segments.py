@@ -12,6 +12,7 @@ from ca_segment import (
     eliminate_oversegmentation,
     extract_segments,
     medoid_signature,
+    neighbor_weights,
     null_small_segments,
 )
 
@@ -28,6 +29,10 @@ def grid_from_labels(rows):
 
 def image_from(data):
     return MultibandImage(data=np.asarray(data, dtype=np.uint8), depth=8)
+
+
+def moore_weights(image):
+    return neighbor_weights(image, NeighborhoodKind.MOORE8, AttenuationParams.for_image(image))
 
 
 def assert_extraction_of(segs, labels, connectivity=NeighborhoodKind.MOORE8):
@@ -132,8 +137,7 @@ class TestEliminateOversegmentation:
         image = image_from(np.full((2, 3, 1), 9))
         grid = grid_from_labels([[1, 1, 1], [1, 1, 1]])
         out, rounds, cleared, segs = eliminate_oversegmentation(
-            grid, image, NeighborhoodKind.MOORE8,
-            AttenuationParams.for_image(image), min_area=2,
+            grid, moore_weights(image), NeighborhoodKind.MOORE8, min_area=2, max_iters=50,
         )
         assert (rounds, cleared) == (0, [])
         assert (out.labels == grid.labels).all()
@@ -145,8 +149,7 @@ class TestEliminateOversegmentation:
         labels[:2, :2] = 2
         grid = grid_from_labels(labels)
         out, rounds, cleared, returned = eliminate_oversegmentation(
-            grid, image, NeighborhoodKind.MOORE8,
-            AttenuationParams.for_image(image), min_area=5,
+            grid, moore_weights(image), NeighborhoodKind.MOORE8, min_area=5, max_iters=160,
         )
         assert (rounds, cleared) == (1, [1])
         assert (out.labels == 1).all()
@@ -162,9 +165,8 @@ class TestEliminateOversegmentation:
         image = image_from(np.full((3, 4, 1), 7))
         grid = grid_from_labels([[1, 1, 2, 2], [2, 2, 3, 2], [2, 2, 2, 2]])
         out, rounds, cleared, segs = eliminate_oversegmentation(
-            grid, image, NeighborhoodKind.MOORE8,
-            AttenuationParams.for_image(image), min_area=2, max_rounds=3,
-            connectivity=NeighborhoodKind.VONNEUMANN4,
+            grid, moore_weights(image), NeighborhoodKind.VONNEUMANN4,
+            min_area=2, max_iters=70, max_rounds=3,
         )
         assert (rounds, cleared) == (3, [1, 1, 1])
         assert out.labels.tolist() == [[1, 1, 2, 2], [2, 2, 1, 2], [2, 2, 2, 2]]
@@ -178,8 +180,7 @@ class TestEliminateOversegmentation:
         labels[10:30, 10:30] = 2
         grid = grid_from_labels(labels)
         out, rounds, cleared, segs = eliminate_oversegmentation(
-            grid, image, NeighborhoodKind.MOORE8,
-            AttenuationParams.for_image(image), min_area=500, max_iters=2,
+            grid, moore_weights(image), NeighborhoodKind.MOORE8, min_area=500, max_iters=2,
         )
         assert (rounds, cleared) == (1, [1])
         assert_extraction_of(segs, out.labels)
@@ -193,8 +194,7 @@ class TestEliminateOversegmentation:
         image = image_from(np.full((1, 9, 1), 7))
         grid = grid_from_labels([[1, 1, 1, 1, 2, 3, 3, 3, 3]])
         out, rounds, _, _ = eliminate_oversegmentation(
-            grid, image, NeighborhoodKind.MOORE8,
-            AttenuationParams.for_image(image), min_area=2,
+            grid, moore_weights(image), NeighborhoodKind.MOORE8, min_area=2, max_iters=100,
         )
         assert rounds == 1
         assert out.labels.tolist() == [[1, 1, 1, 1, 1, 3, 3, 3, 3]]
@@ -204,8 +204,7 @@ class TestEliminateOversegmentation:
         grid = grid_from_labels([[1, 0], [0, 2]])
         with pytest.raises(ContractError, match="min_area"):
             eliminate_oversegmentation(
-                grid, image, NeighborhoodKind.MOORE8,
-                AttenuationParams.for_image(image), min_area=3,
+                grid, moore_weights(image), NeighborhoodKind.MOORE8, min_area=3, max_iters=40,
             )
 
     def test_unlabeled_grid_is_an_error(self):
@@ -213,8 +212,7 @@ class TestEliminateOversegmentation:
         grid = grid_from_labels([[0, 0], [0, 0]])
         with pytest.raises(ContractError):
             eliminate_oversegmentation(
-                grid, image, NeighborhoodKind.MOORE8,
-                AttenuationParams.for_image(image), min_area=1,
+                grid, moore_weights(image), NeighborhoodKind.MOORE8, min_area=1, max_iters=40,
             )
 
     def test_invalid_max_rounds(self):
@@ -222,8 +220,8 @@ class TestEliminateOversegmentation:
         grid = grid_from_labels([[1]])
         with pytest.raises(ContractError):
             eliminate_oversegmentation(
-                grid, image, NeighborhoodKind.MOORE8,
-                AttenuationParams.for_image(image), min_area=1, max_rounds=0,
+                grid, moore_weights(image), NeighborhoodKind.MOORE8,
+                min_area=1, max_iters=20, max_rounds=0,
             )
 
     def test_scale_holds_on_random_inputs(self):
@@ -235,11 +233,10 @@ class TestEliminateOversegmentation:
             labels = rng.integers(1, 4, size=(h, w)).astype(np.uint32)
             grid = grid_from_labels(labels)
             min_area = int(rng.integers(2, 7))
-            params = AttenuationParams.for_image(image)
             try:
                 out, rounds, cleared, returned = eliminate_oversegmentation(
-                    grid, image, NeighborhoodKind.MOORE8, params,
-                    min_area=min_area, max_rounds=5,
+                    grid, moore_weights(image), NeighborhoodKind.MOORE8,
+                    min_area=min_area, max_iters=10 * (w + h), max_rounds=5,
                 )
             except ContractError:
                 continue  # every segment came out undersized
