@@ -75,7 +75,8 @@ def _add_intake_flags(parser):
     parser.add_argument("--max-iters", type=int, default=None,
                         help="evolution cap (default: 10 * (width + height))")
     parser.add_argument("--max-rounds", type=int, default=5)
-    parser.add_argument("--threads", type=int, default=1)
+    parser.add_argument("--threads", type=int, default=1,
+                        help="workers over chunks of frontier cells; output identical for any value")
     parser.add_argument("--strict", action="store_true",
                         help="exit nonzero if the automaton hits the iteration cap")
     parser.add_argument("--out-labels", required=True, help="output label raster path")

@@ -109,17 +109,13 @@ def null_small_segments(grid: AutomatonGrid, segs: SegmentSet, min_area: int):
         raise ContractError("min_area must be >= 1")
     if segs.seg_map is not None and segs.seg_map.shape != grid.labels.shape:
         raise ContractError("segment set does not match the grid dimensions")
-    labels = grid.labels.copy()
-    theta = grid.theta.copy()
-    flat_labels = labels.ravel()
-    flat_theta = theta.ravel()
+    freed = np.zeros(grid.labels.size, dtype=bool)
     cleared = 0
     for seg in segs.segments:
         if seg.area < min_area:
-            flat_labels[seg.pixels] = 0
-            flat_theta[seg.pixels] = 0.0
+            freed[seg.pixels] = True
             cleared += 1
-    return AutomatonGrid(labels=labels, theta=theta, step=grid.step), cleared
+    return grid.nulled(freed.reshape(grid.labels.shape)), cleared
 
 
 def eliminate_oversegmentation(

@@ -161,6 +161,25 @@ def seeds_by_loop(data, ranges, delta_rel, stride):
     return entries, table
 
 
+def weight_planes_by_loop(data, offsets, epsilon, d_max):
+    """Per-offset attack factors via per-cell loops; 0 where the neighbor is off-grid."""
+    h, w, n = data.shape
+    planes = []
+    for dr, dc in offsets:
+        plane = np.zeros((h, w), dtype=np.float64)
+        for r in range(h):
+            for c in range(w):
+                rr, cc = r + dr, c + dc
+                if 0 <= rr < h and 0 <= cc < w:
+                    acc = 0.0
+                    for b in range(n):
+                        diff = float(data[r, c, b]) - float(data[rr, cc, b])
+                        acc += diff * diff
+                    plane[r, c] = max(epsilon, 1.0 - math.sqrt(acc) / d_max)
+        planes.append(plane)
+    return planes
+
+
 def evolve_by_loop(labels, theta, data, offsets, epsilon, d_max):
     """One synchronous attack step via per-cell loops; returns new state."""
     h, w = labels.shape

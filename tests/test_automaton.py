@@ -1,7 +1,10 @@
+import sys
+
 import numpy as np
 import pytest
 
 import reference
+from ca_segment import automaton
 from ca_segment import (
     AttenuationParams,
     AutomatonGrid,
@@ -44,6 +47,21 @@ def random_setup(rng, max_side=32, max_bands=4):
     return image, seed_map(sorted(zip(idx.tolist(), labels.tolist())))
 
 
+def reference_trajectory(grid, image, nb, min_steps=1):
+    """Loop-oracle states after each step, up to the first unchanged one."""
+    params = AttenuationParams.for_image(image)
+    states = [(grid.labels.copy(), grid.theta.copy())]
+    while len(states) <= min_steps or not (
+        (states[-1][0] == states[-2][0]).all() and (states[-1][1] == states[-2][1]).all()
+    ):
+        states.append(
+            reference.evolve_by_loop(
+                *states[-1], image.data, nb.offsets(), params.epsilon, params.d_max
+            )
+        )
+    return states[1:]
+
+
 class TestAttenuation:
     def test_zero_distance(self):
         params = AttenuationParams(d_max=100.0)
@@ -81,6 +99,53 @@ class TestAttenuation:
             AttenuationParams(d_max=0.0)
         with pytest.raises(ContractError):
             AttenuationParams(d_max=1.0, epsilon=0.0)
+
+
+class TestNeighborWeights:
+    @pytest.mark.parametrize("nb", list(NeighborhoodKind))
+    @pytest.mark.parametrize(
+        "shape, depth", [((5, 7, 3), 8), ((6, 4, 8), 16), ((1, 9, 2), 8), ((9, 1, 2), 16)]
+    )
+    def test_every_entry_matches_loop_oracle(self, nb, shape, depth):
+        rng = np.random.default_rng(67)
+        top = (1 << depth) - 1
+        data = rng.integers(0, top + 1, size=shape)
+        # two adjacent extremes are d_max apart, which drives the factor
+        # between them down to the epsilon floor
+        data[0, 0] = 0
+        data[(0, 1) if shape[1] > 1 else (1, 0)] = top
+        image = image_from(data, depth=depth)
+        params = AttenuationParams.for_image(image)
+        weights = neighbor_weights(image, nb, params)
+        want = reference.weight_planes_by_loop(
+            image.data, nb.offsets(), params.epsilon, params.d_max
+        )
+        assert [(dr, dc) for dr, dc, _ in weights] == list(nb.offsets())
+        assert any((plane == params.epsilon).any() for plane in want)
+        for (_, _, plane), expected in zip(weights, want):
+            assert plane.dtype == np.float64
+            assert (plane == expected).all()
+
+
+class TestAutomatonGrid:
+    def test_changed_mask_checked(self):
+        labels = np.zeros((2, 3), dtype=np.uint32)
+        theta = np.zeros((2, 3), dtype=np.float64)
+        with pytest.raises(ContractError):
+            AutomatonGrid(labels=labels, theta=theta, changed=np.zeros((3, 2), dtype=bool))
+        with pytest.raises(ContractError):
+            AutomatonGrid(labels=labels, theta=theta, changed=np.zeros((2, 3), dtype=np.uint8))
+
+    def test_nulled_joins_the_changed_mask(self):
+        grid = init_from_seeds(3, 1, seed_map([(0, 1), (2, 2)]))
+        freed = np.array([[False, False, True]])
+        out = grid.nulled(freed)
+        assert out.labels.tolist() == [[1, 0, 0]]
+        assert out.theta.tolist() == [[1.0, 0.0, 0.0]]
+        assert out.changed.tolist() == [[True, False, True]]
+        assert grid.labels.tolist() == [[1, 0, 2]]
+        unknown = AutomatonGrid(labels=grid.labels, theta=grid.theta).nulled(freed)
+        assert unknown.changed is None
 
 
 class TestInitFromSeeds:
@@ -129,25 +194,28 @@ class TestEvolveStep:
         with pytest.raises(ContractError):
             evolve_step(grid, weights_for(image))
 
-    def test_matches_loop_reference_bitwise(self):
+    def test_matches_loop_reference_bitwise(self, monkeypatch):
+        # the default chunk size, then 7-cell chunks on 1, 2 and 3 workers so
+        # that frontiers span several chunks; every step up to the oracle's
+        # fixpoint, and at least 6, must agree bit for bit
         rng = np.random.default_rng(41)
+        layouts = ((automaton._CHUNK, 1), (7, 1), (7, 2), (7, 3))
         for nb in NeighborhoodKind:
             for _ in range(10):
                 image, seeds = random_setup(rng, max_side=12)
                 params = AttenuationParams.for_image(image)
                 weights = neighbor_weights(image, nb, params)
-                grid = init_from_seeds(image.width, image.height, seeds)
-                ref_labels, ref_theta = grid.labels.copy(), grid.theta.copy()
-                for _ in range(6):
-                    grid, _ = evolve_step(grid, weights)
-                    ref_labels, ref_theta = reference.evolve_by_loop(
-                        ref_labels, ref_theta, image.data, nb.offsets(),
-                        params.epsilon, params.d_max,
-                    )
-                    assert (grid.labels == ref_labels).all()
-                    assert (grid.theta == ref_theta).all()
+                start = init_from_seeds(image.width, image.height, seeds)
+                ref = reference_trajectory(start, image, nb, min_steps=6)
+                for chunk, threads in layouts:
+                    monkeypatch.setattr(automaton, "_CHUNK", chunk)
+                    grid = start
+                    for ref_labels, ref_theta in ref:
+                        grid, _ = evolve_step(grid, weights, threads=threads)
+                        assert (grid.labels == ref_labels).all()
+                        assert (grid.theta == ref_theta).all()
 
-    def test_thread_counts_bit_identical(self):
+    def test_thread_counts_bit_identical(self, monkeypatch):
         rng = np.random.default_rng(43)
         image, seeds = random_setup(rng, max_side=24)
         weights = weights_for(image)
@@ -161,6 +229,68 @@ class TestEvolveStep:
         for other in results[1:]:
             assert (other.labels == results[0].labels).all()
             assert (other.theta == results[0].theta).all()
+        # with 7-cell chunks the workers split every frontier of 8 cells or
+        # more, and a short switch interval interleaves them often; each
+        # step up to the fixpoint must match the loop oracle
+        ref = reference_trajectory(base, image, NeighborhoodKind.MOORE8)
+        monkeypatch.setattr(automaton, "_CHUNK", 7)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for threads in (1, 2, 3):
+                grid = base
+                for ref_labels, ref_theta in ref:
+                    grid, _ = evolve_step(grid, weights, threads=threads)
+                    assert (grid.labels == ref_labels).all()
+                    assert (grid.theta == ref_theta).all()
+        finally:
+            sys.setswitchinterval(interval)
+
+    @pytest.mark.parametrize("nb", list(NeighborhoodKind))
+    def test_step_evaluates_only_the_frontier(self, monkeypatch, nb):
+        evaluated = []
+        kernel = automaton._attack
+
+        def spy(weights, labels, theta, idx, *buffers):
+            evaluated.extend(idx.tolist())
+            return kernel(weights, labels, theta, idx, *buffers)
+
+        monkeypatch.setattr(automaton, "_attack", spy)
+        image = image_from(np.full((7, 7, 1), 10))
+        weights = weights_for(image, nb)
+        center = 3 * 7 + 3
+
+        def block(cells):
+            return sorted({p + dr * 7 + dc for p in cells for dr, dc in ((0, 0),) + nb.offsets()})
+
+        # one seed has moved from the all-null fixpoint: 9 (Moore) or 5
+        # (von Neumann) cells are evaluated, and its neighbors move
+        grid = init_from_seeds(7, 7, seed_map([(center, 1)]))
+        grid, changed = evolve_step(grid, weights)
+        assert changed
+        assert sorted(evaluated) == block([center])
+        assert len(evaluated) == 1 + len(nb.offsets())
+        moved = sorted(center + dr * 7 + dc for dr, dc in nb.offsets())
+        assert np.flatnonzero(grid.changed).tolist() == moved
+
+        evaluated.clear()
+        grid, _ = evolve_step(grid, weights)
+        assert sorted(evaluated) == block(moved)
+
+        # an unknown history means every cell is evaluated
+        evaluated.clear()
+        evolve_step(AutomatonGrid(labels=grid.labels, theta=grid.theta), weights)
+        assert sorted(evaluated) == list(range(49))
+
+    @pytest.mark.parametrize("threads", [0, -3])
+    def test_thread_count_below_one_rejected(self, threads):
+        image = image_from(np.full((2, 3, 1), 10))
+        grid = init_from_seeds(3, 2, seed_map([(0, 1)]))
+        weights = weights_for(image)
+        with pytest.raises(ContractError, match="threads must be >= 1"):
+            evolve_step(grid, weights, threads=threads)
+        with pytest.raises(ContractError, match="threads must be >= 1"):
+            run_to_convergence(grid, weights, 50, threads=threads)
 
     def test_enumeration_order_settles_ties(self):
         # two seeds with equal attack strength on the middle cell: the

@@ -10,10 +10,13 @@ from ca_segment import (
     MultibandImage,
     NeighborhoodKind,
     eliminate_oversegmentation,
+    SeedMap,
     extract_segments,
+    init_from_seeds,
     medoid_signature,
     neighbor_weights,
     null_small_segments,
+    run_to_convergence,
 )
 
 
@@ -187,6 +190,57 @@ class TestEliminateOversegmentation:
         assert int((segs.seg_map == 0).sum()) == 256
         assert (segs.seg_map[12:28, 12:28] == 0).all()
         assert segs.areas().tolist() == [1600 - 256]
+
+    def test_capped_run_eliminates_as_if_history_were_unknown(self):
+        # a colonization stopped by max_iters still has a moving wavefront;
+        # elimination must evaluate it as well as the freed cells, and so
+        # end where a grid with no record of changes (every cell evaluated)
+        # ends
+        def seeded(width, height, pairs):
+            return init_from_seeds(width, height, SeedMap(
+                pixel_indices=np.array([p for p, _ in pairs], dtype=np.int64),
+                labels=np.array([l for _, l in pairs], dtype=np.uint32),
+                label_table={(0, l): l for _, l in pairs},
+            ))
+
+        def eliminate_both(image, grid, min_area):
+            weights = moore_weights(image)
+            grid, _, converged = run_to_convergence(grid, weights, max_iters=2)
+            unknown = AutomatonGrid(labels=grid.labels, theta=grid.theta, step=grid.step)
+            results = []
+            for start in (grid, unknown):
+                try:
+                    out, _, _, _ = eliminate_oversegmentation(
+                        start, weights, NeighborhoodKind.MOORE8, min_area=min_area,
+                        max_iters=10 * (image.width + image.height),
+                    )
+                except ContractError:
+                    out = None  # every segment came out undersized
+                results.append(out)
+            return converged, results
+
+        # on the line, 2 steps leave a front at cell 4 and nulls at 5 and 6;
+        # label 2 (cells 7-9) is freed and label 1 must then fill the line
+        image = image_from(np.full((1, 10, 1), 7))
+        grid = seeded(10, 1, [(0, 1), (1, 1), (2, 1), (9, 2)])
+        converged, (frontier, full) = eliminate_both(image, grid, min_area=4)
+        assert not converged
+        assert (full.labels == 1).all()
+        assert (frontier.labels == full.labels).all()
+        assert (frontier.theta == full.theta).all()
+
+        rng = np.random.default_rng(73)
+        for _ in range(12):
+            h, w = int(rng.integers(4, 13)), int(rng.integers(4, 13))
+            cells = rng.choice(h * w, size=int(rng.integers(3, 9)), replace=False)
+            labels = rng.integers(1, 4, size=cells.size)
+            image = image_from(rng.integers(0, 256, size=(h, w, 2)))
+            grid = seeded(w, h, sorted(zip(cells.tolist(), labels.tolist())))
+            _, (frontier, full) = eliminate_both(image, grid, min_area=3)
+            assert (frontier is None) == (full is None)
+            if full is not None:
+                assert (frontier.labels == full.labels).all()
+                assert (frontier.theta == full.theta).all()
 
     def test_freed_cell_goes_to_first_scanned_flank(self):
         # equal-strength attacks from both sides of the freed cell; the
