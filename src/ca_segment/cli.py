@@ -10,15 +10,14 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields
 
 from .automaton import NeighborhoodKind
 from .errors import SegmenterError
 from .pipeline import PipelineConfig, recompute_stats, run_seeds, run_segment
 
-_NEIGHBORHOODS = {
-    "moore": NeighborhoodKind.MOORE8,
-    "vonneumann": NeighborhoodKind.VONNEUMANN4,
-}
+_NEIGHBORHOODS = sorted(kind.value for kind in NeighborhoodKind)
+_DEFAULT = {f.name: f.default for f in fields(PipelineConfig)}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -43,39 +42,41 @@ def _band_triple(text):
 
 
 def _add_intake_flags(parser):
-    parser.add_argument("--input", required=True, help="input raster path")
+    parser.add_argument("--input", dest="input_path", metavar="INPUT", required=True,
+                        help="input raster path")
     parser.add_argument(
         "--format",
         choices=["envi-bsq", "ppm"],
-        default=None,
+        default=_DEFAULT["format"],
         help="input container (default: inferred from the extension)",
     )
     parser.add_argument(
         "--bands",
         type=_int_list,
-        default=None,
+        default=_DEFAULT["bands"],
         metavar="I,J,K",
         help="band subset to segment (default: all bands)",
     )
     parser.add_argument(
-        "--neighborhood", choices=sorted(_NEIGHBORHOODS), default="moore"
+        "--neighborhood", choices=_NEIGHBORHOODS, default=_DEFAULT["neighborhood"].value
     )
-    parser.add_argument("--delta-rel", type=float, default=0.1,
+    parser.add_argument("--delta-rel", type=float, default=_DEFAULT["delta_rel"],
                         help="relative spread below which a pixel counts as balanced")
-    parser.add_argument("--smooth-window", type=int, default=5)
-    parser.add_argument("--prominence", type=float, default=0.05,
+    parser.add_argument("--smooth-window", type=int, default=_DEFAULT["smooth_window"])
+    parser.add_argument("--prominence", dest="prominence_frac", metavar="PROMINENCE",
+                        type=float, default=_DEFAULT["prominence_frac"],
                         help="peak height floor as a fraction of the histogram maximum")
-    parser.add_argument("--min-separation", type=int, default=10)
-    parser.add_argument("--half-width", type=int, default=5)
-    parser.add_argument("--max-peaks", type=int, default=8)
-    parser.add_argument("--stride", type=int, default=1)
-    parser.add_argument("--epsilon", type=float, default=1e-6)
-    parser.add_argument("--min-area", type=int, default=150,
+    parser.add_argument("--min-separation", type=int, default=_DEFAULT["min_separation"])
+    parser.add_argument("--half-width", type=int, default=_DEFAULT["half_width"])
+    parser.add_argument("--max-peaks", type=int, default=_DEFAULT["max_peaks"])
+    parser.add_argument("--stride", type=int, default=_DEFAULT["stride"])
+    parser.add_argument("--epsilon", type=float, default=_DEFAULT["epsilon"])
+    parser.add_argument("--min-area", type=int, default=_DEFAULT["min_area"],
                         help="study scale: segments below this area are regrown")
-    parser.add_argument("--max-iters", type=int, default=None,
+    parser.add_argument("--max-iters", type=int, default=_DEFAULT["max_iters"],
                         help="evolution cap (default: 10 * (width + height))")
-    parser.add_argument("--max-rounds", type=int, default=5)
-    parser.add_argument("--threads", type=int, default=1,
+    parser.add_argument("--max-rounds", type=int, default=_DEFAULT["max_rounds"])
+    parser.add_argument("--threads", type=int, default=_DEFAULT["threads"],
                         help="workers over chunks of frontier cells; output identical for any value")
     parser.add_argument("--strict", action="store_true",
                         help="exit nonzero if the automaton hits the iteration cap")
@@ -89,11 +90,12 @@ def _build_parser():
 
     seg = sub.add_parser("segment", help="run the full segmentation pipeline")
     _add_intake_flags(seg)
-    seg.add_argument("--out-preview", default=None, help="optional preview PPM path")
+    seg.add_argument("--out-preview", default=_DEFAULT["out_preview"],
+                     help="optional preview PPM path")
     seg.add_argument(
         "--preview-bands",
         type=_band_triple,
-        default=None,
+        default=_DEFAULT["preview_bands"],
         metavar="R,G,B",
         help="bands rendered in the preview (default: 0,1,2)",
     )
@@ -103,37 +105,17 @@ def _build_parser():
 
     stats = sub.add_parser("stats", help="recompute statistics from a label raster")
     stats.add_argument("--labels", required=True, help="saved label raster path")
-    stats.add_argument(
-        "--neighborhood", choices=sorted(_NEIGHBORHOODS), default="moore"
-    )
+    stats.add_argument("--neighborhood", choices=_NEIGHBORHOODS, default="moore")
     stats.add_argument("--out-stats", default=None,
                        help="write JSON here instead of stdout")
     return parser
 
 
 def _config_from_args(args) -> PipelineConfig:
-    return PipelineConfig(
-        input_path=args.input,
-        format=args.format,
-        bands=args.bands,
-        neighborhood=_NEIGHBORHOODS[args.neighborhood],
-        delta_rel=args.delta_rel,
-        smooth_window=args.smooth_window,
-        prominence_frac=args.prominence,
-        min_separation=args.min_separation,
-        half_width=args.half_width,
-        max_peaks=args.max_peaks,
-        stride=args.stride,
-        epsilon=args.epsilon,
-        min_area=args.min_area,
-        max_iters=args.max_iters,
-        max_rounds=args.max_rounds,
-        threads=args.threads,
-        out_labels=args.out_labels,
-        out_stats=args.out_stats,
-        out_preview=getattr(args, "out_preview", None),
-        preview_bands=getattr(args, "preview_bands", None),
-    )
+    # each config field is the dest of a flag; ``seeds`` lacks the preview ones
+    values = {name: getattr(args, name) for name in _DEFAULT if hasattr(args, name)}
+    values["neighborhood"] = NeighborhoodKind(args.neighborhood)
+    return PipelineConfig(**values)
 
 
 def main(argv=None) -> int:
@@ -167,7 +149,7 @@ def main(argv=None) -> int:
             )
         else:
             stats = recompute_stats(
-                args.labels, connectivity=_NEIGHBORHOODS[args.neighborhood]
+                args.labels, connectivity=NeighborhoodKind(args.neighborhood)
             )
             text = json.dumps(stats, sort_keys=True, indent=2) + "\n"
             if args.out_stats:

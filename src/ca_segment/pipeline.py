@@ -277,14 +277,14 @@ def run_segment(config: PipelineConfig) -> RunReport:
         seg_summary = []
         signatures = {}
         for seg in final.segments:
-            seg.signature = segmod.medoid_signature(image, seg.pixels)
-            signatures[seg.id] = seg.signature
+            signature = segmod.medoid_signature(image, seg.pixels)
+            signatures[seg.id] = signature
             seg_summary.append(
                 {
                     "id": seg.id,
                     "label": seg.label,
                     "area": seg.area,
-                    "signature": [int(v) for v in seg.signature],
+                    "signature": [int(v) for v in signature],
                 }
             )
 

@@ -6,6 +6,11 @@ automaton recolonize the freed cells, repeating until the grid carries no
 undersized segment. Each surviving segment is summarized by the member
 pixel vector with the least total Euclidean distance to the rest of the
 segment.
+
+Extraction labels all values at once: row runs of equal label are linked
+to touching equal runs one row down, and each root is hooked under the
+smallest root it touches until no link crosses two roots. Run ids are
+row-major, so a component's root, its smallest run, holds its first pixel.
 """
 
 from __future__ import annotations
@@ -13,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import ndimage
 
 from .automaton import AutomatonGrid, NeighborhoodKind, run_to_convergence
 from .errors import ContractError
@@ -28,7 +32,6 @@ class Segment:
     label: int
     pixels: np.ndarray
     area: int
-    signature: np.ndarray | None = None
 
 
 @dataclass
@@ -45,10 +48,44 @@ class SegmentSet:
         return np.array([s.area for s in self.segments], dtype=np.int64)
 
 
-def _structure(connectivity: NeighborhoodKind):
-    if connectivity is NeighborhoodKind.MOORE8:
-        return np.ones((3, 3), dtype=bool)
-    return ndimage.generate_binary_structure(2, 1)
+def _segment_ids(lab: np.ndarray, connectivity: NeighborhoodKind) -> np.ndarray:
+    """Per-pixel segment ids (0 = null), numbered from 1 by first pixel."""
+    h, w = lab.shape
+    start = np.ones((h, w), dtype=bool)
+    np.not_equal(lab[:, 1:], lab[:, :-1], out=start[:, 1:])
+    run_of = np.cumsum(start.ravel()).reshape(h, w) - 1
+    run_label = lab[start]
+
+    # cell (r, c) links its run to the run at (r + 1, c + dc) when both
+    # hold the same nonzero label; its left neighbour links the same two
+    # runs unless one of them starts at this cell, so only those are kept
+    dcs = (-1, 0, 1) if connectivity is NeighborhoodKind.MOORE8 else (0,)
+    tops, bottoms = [], []
+    for dc in dcs:
+        tc = slice(max(0, -dc), w - max(0, dc))
+        bc = slice(max(0, dc), w - max(0, -dc))
+        top = lab[:-1, tc]
+        link = (top == lab[1:, bc]) & (top != 0) & (start[:-1, tc] | start[1:, bc])
+        tops.append(run_of[:-1, tc][link])
+        bottoms.append(run_of[1:, bc][link])
+    u = np.concatenate(tops)
+    v = np.concatenate(bottoms)
+
+    parent = np.arange(run_label.size)
+    while u.size:
+        ru, rv = parent[u], parent[v]
+        cross = ru != rv
+        u, v = u[cross], v[cross]
+        # hooking under the smallest root merges all teeth of a comb in one
+        # round; an arbitrary one of them would merge one tooth per round
+        np.minimum.at(parent, np.maximum(ru, rv)[cross], np.minimum(ru, rv)[cross])
+        while (parent[parent] != parent).any():
+            parent = parent[parent]
+
+    # counting roots in run order numbers components by first pixel
+    is_root = (parent == np.arange(run_label.size)) & (run_label != 0)
+    seg_of_run = np.where(run_label != 0, np.cumsum(is_root)[parent], 0)
+    return seg_of_run.astype(np.uint32)[run_of]
 
 
 def extract_segments(labels: LabelRaster, connectivity: NeighborhoodKind) -> SegmentSet:
@@ -58,40 +95,15 @@ def extract_segments(labels: LabelRaster, connectivity: NeighborhoodKind) -> Seg
     first pixel, so extraction is deterministic.
     """
     lab = labels.labels
-    structure = _structure(connectivity)
-    comp = np.zeros(lab.shape, dtype=np.int64)
-    offset = 0
-    for value in np.unique(lab):
-        if value == 0:
-            continue
-        mask = lab == value
-        labeled, count = ndimage.label(mask, structure=structure)
-        comp[mask] = labeled[mask] + offset
-        offset += count
+    seg_map = _segment_ids(lab, connectivity)
 
-    flat = comp.ravel()
-    nz = np.nonzero(flat)[0]
-    if nz.size == 0:
-        return SegmentSet(segments=[], seg_map=np.zeros(lab.shape, dtype=np.uint32))
-
-    vals = flat[nz]
-    uniq, first, inverse = np.unique(vals, return_index=True, return_inverse=True)
-    by_first = np.argsort(first, kind="stable")
-    rank = np.empty(len(uniq), dtype=np.int64)
-    rank[by_first] = np.arange(1, len(uniq) + 1)
-    seg_ids = rank[inverse]
-
-    seg_map = np.zeros(flat.shape, dtype=np.uint32)
-    seg_map[nz] = seg_ids.astype(np.uint32)
-    seg_map = seg_map.reshape(lab.shape)
-
-    order = np.argsort(seg_ids, kind="stable")
-    counts = np.bincount(seg_ids, minlength=len(uniq) + 1)[1:]
-    bounds = np.concatenate(([0], np.cumsum(counts)))
+    flat = seg_map.ravel()
+    order = np.argsort(flat, kind="stable")
+    bounds = np.cumsum(np.bincount(flat))
     flat_labels = lab.ravel()
     segments = []
-    for sid in range(1, len(uniq) + 1):
-        pixels = nz[order[bounds[sid - 1] : bounds[sid]]]
+    for sid in range(1, bounds.size):
+        pixels = order[bounds[sid - 1] : bounds[sid]]
         segments.append(
             Segment(
                 id=sid,

@@ -16,7 +16,7 @@ from ca_segment import (
     run_segment,
     save_envi_bsq,
 )
-from ca_segment.cli import main
+from ca_segment.cli import _build_parser, _config_from_args, main
 
 
 def write_envi(path, data, depth=8):
@@ -318,3 +318,39 @@ class TestCli:
         )
         assert proc.returncode == 0, proc.stderr
         assert (tmp_path / "labels.u32").exists()
+
+    def test_required_flags_alone_give_the_default_config(self):
+        for command in ("segment", "seeds"):
+            args = _build_parser().parse_args([
+                command,
+                "--input", "in.bsq",
+                "--out-labels", "labels.u32",
+                "--out-stats", "stats.json",
+            ])
+            assert _config_from_args(args) == PipelineConfig(
+                input_path="in.bsq", out_labels="labels.u32", out_stats="stats.json"
+            )
+
+    def test_segment_run_never_imports_scipy(self, tmp_path):
+        path = write_envi(tmp_path / "img.bsq", two_region_data(h=16, w=16))
+        code = (
+            "import sys\n"
+            "from ca_segment.cli import main\n"
+            "rc = main(sys.argv[1:])\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+            "sys.exit(rc)\n"
+        )
+        proc = subprocess.run(
+            [
+                sys.executable, "-c", code,
+                "segment",
+                "--input", path,
+                "--out-labels", str(tmp_path / "labels.u32"),
+                "--out-stats", str(tmp_path / "stats.json"),
+                "--min-area", "10",
+            ],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "[]"

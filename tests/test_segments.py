@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import reference
 from ca_segment import (
@@ -98,6 +101,75 @@ class TestExtractSegments:
                     assert seg.area == len(members)
                     assert (segs.seg_map.ravel()[members] == seg.id).all()
                 assert segs.areas().sum() == int((labels != 0).sum())
+
+
+def assert_matches_bfs(labels, connectivity):
+    segs = extract_segments(raster(labels), connectivity)
+    expected = reference.components_by_bfs(labels, connectivity.offsets())
+    assert [s.pixels.tolist() for s in segs.segments] == expected
+    assert [s.id for s in segs.segments] == list(range(1, len(expected) + 1))
+    flat = labels.ravel()
+    assert [s.label for s in segs.segments] == [int(flat[m[0]]) for m in expected]
+    assert [s.area for s in segs.segments] == [len(m) for m in expected]
+    want_map = np.zeros(labels.size, dtype=np.uint32)
+    for sid, members in enumerate(expected, start=1):
+        want_map[members] = sid
+    assert segs.seg_map.dtype == np.uint32
+    assert segs.seg_map.tolist() == want_map.reshape(labels.shape).tolist()
+
+
+@st.composite
+def label_grids(draw):
+    h = draw(st.integers(1, 20))
+    w = draw(st.integers(1, 20))
+    top = draw(st.integers(0, 4))
+    return draw(hnp.arrays(np.uint32, (h, w), elements=st.integers(0, top)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(label_grids())
+@example(np.array([[1, 1, 2, 0, 2, 2, 1]], dtype=np.uint32))
+@example(np.array([[1], [1], [0], [3], [3], [1]], dtype=np.uint32))
+@example(np.zeros((4, 6), dtype=np.uint32))
+# pointer jumping must reach a fixpoint: one jump per round leaves a run
+# here two links below its root (Moore), and its segment gets a wrong id
+@example(np.array([[0, 2, 0, 0, 0, 0],
+                   [1, 0, 2, 0, 0, 0],
+                   [0, 0, 2, 0, 2, 0],
+                   [0, 0, 0, 2, 0, 2]], dtype=np.uint32))
+def test_extraction_matches_bfs_property(labels):
+    for nb in NeighborhoodKind:
+        assert_matches_bfs(labels, nb)
+
+
+def serpentine(n):
+    grid = np.ones((n, n), dtype=np.uint32)
+    grid[1::4, :-1] = 0
+    grid[3::4, 1:] = 0
+    return grid
+
+
+def comb(n):
+    # teeth joined only along the top row, so each tooth is a long chain of
+    # one-cell runs whose roots must merge in few rounds
+    grid = np.full((n, n), 2, dtype=np.uint32)
+    grid[1:, 1::2] = 1
+    return grid
+
+
+@pytest.mark.parametrize("labels", [serpentine(21), comb(20), comb(20)[::-1].copy()],
+                         ids=["serpentine", "comb", "inverted-comb"])
+@pytest.mark.parametrize("nb", list(NeighborhoodKind))
+def test_extraction_matches_bfs_on_long_paths(labels, nb):
+    assert_matches_bfs(labels, nb)
+
+
+@pytest.mark.parametrize("shape", [(0, 5), (5, 0), (0, 0)])
+def test_empty_raster_has_no_segments(shape):
+    for nb in NeighborhoodKind:
+        segs = extract_segments(raster(np.zeros(shape, dtype=np.uint32)), nb)
+        assert len(segs) == 0
+        assert segs.seg_map.shape == shape and segs.seg_map.dtype == np.uint32
 
 
 class TestNullSmallSegments:
