@@ -80,7 +80,6 @@ class AutomatonGrid:
 
     labels: np.ndarray
     theta: np.ndarray
-    step: int = 0
     changed: np.ndarray | None = None
 
     def __post_init__(self):
@@ -111,7 +110,7 @@ class AutomatonGrid:
         labels[cells] = 0
         theta[cells] = 0.0
         changed = None if self.changed is None else self.changed | cells
-        return AutomatonGrid(labels=labels, theta=theta, step=self.step, changed=changed)
+        return AutomatonGrid(labels=labels, theta=theta, changed=changed)
 
 
 def attenuation(d, params: AttenuationParams):
@@ -129,9 +128,10 @@ def init_from_seeds(width: int, height: int, seeds: SeedMap) -> AutomatonGrid:
     """Grid at step 0: seed cells at full strength, everything else null."""
     idx = np.asarray(seeds.pixel_indices, dtype=np.int64)
     if idx.size:
-        if idx.min() < 0 or idx.max() >= width * height:
+        ordered = np.sort(idx)
+        if ordered[0] < 0 or ordered[-1] >= width * height:
             raise ContractError("seed pixel index out of range")
-        if np.unique(idx).size != idx.size:
+        if (ordered[1:] == ordered[:-1]).any():
             raise ContractError("duplicate seed pixel index")
     labels = np.zeros(width * height, dtype=np.uint32)
     theta = np.zeros(width * height, dtype=np.float64)
@@ -143,7 +143,7 @@ def init_from_seeds(width: int, height: int, seeds: SeedMap) -> AutomatonGrid:
     shape = (height, width)
     return AutomatonGrid(
         labels=labels.reshape(shape), theta=theta.reshape(shape),
-        step=0, changed=changed.reshape(shape),
+        changed=changed.reshape(shape),
     )
 
 
@@ -258,7 +258,7 @@ def evolve_step(grid: AutomatonGrid, weights, threads: int = 1):
         changed[hit] = True
     new_grid = AutomatonGrid(
         labels=new_labels.reshape(h, w), theta=new_theta.reshape(h, w),
-        step=grid.step + 1, changed=changed.reshape(h, w),
+        changed=changed.reshape(h, w),
     )
     return new_grid, any(hit.size for hit in hits)
 

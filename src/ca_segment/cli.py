@@ -105,7 +105,9 @@ def _build_parser():
 
     stats = sub.add_parser("stats", help="recompute statistics from a label raster")
     stats.add_argument("--labels", required=True, help="saved label raster path")
-    stats.add_argument("--neighborhood", choices=_NEIGHBORHOODS, default="moore")
+    stats.add_argument(
+        "--neighborhood", choices=_NEIGHBORHOODS, default=_DEFAULT["neighborhood"].value
+    )
     stats.add_argument("--out-stats", default=None,
                        help="write JSON here instead of stdout")
     return parser

@@ -10,7 +10,7 @@ from __future__ import annotations
 import contextlib
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -66,7 +66,11 @@ class PipelineConfig:
 
 @dataclass
 class RunReport:
-    """Everything a run learned, minus the raw rasters."""
+    """Everything a run learned, minus the raw rasters.
+
+    The fields are the stats JSON keys; a ``None`` field is left out, which
+    drops the segment keys from a ``seeds`` run.
+    """
 
     mode: str
     width: int
@@ -77,43 +81,18 @@ class RunReport:
     seed_fraction: float
     label_count: int
     ranges: list[seeding.SumRange]
-    label_summary: list[dict]
+    labels: list[dict]
     steps_to_convergence: int | None = None
     converged: bool | None = None
     segments_before: int | None = None
     segments_after: int | None = None
     rounds_used: int | None = None
     cleared_per_round: list[int] | None = None
-    segment_summary: list[dict] | None = None
+    segments: list[dict] | None = None
     timings: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        out = {
-            "mode": self.mode,
-            "width": self.width,
-            "height": self.height,
-            "bands": self.bands,
-            "depth": self.depth,
-            "seed_count": self.seed_count,
-            "seed_fraction": round(self.seed_fraction, 6),
-            "label_count": self.label_count,
-            "ranges": [{"lo": r.lo, "hi": r.hi, "peak": r.peak} for r in self.ranges],
-            "labels": self.label_summary,
-            "timings": {k: round(v, 6) for k, v in self.timings.items()},
-        }
-        if self.mode == "segment":
-            out.update(
-                {
-                    "steps_to_convergence": self.steps_to_convergence,
-                    "converged": self.converged,
-                    "segments_before": self.segments_before,
-                    "segments_after": self.segments_after,
-                    "rounds_used": self.rounds_used,
-                    "cleared_per_round": self.cleared_per_round,
-                    "segments": self.segment_summary,
-                }
-            )
-        return out
+        return {k: v for k, v in asdict(self).items() if v is not None}
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
@@ -185,9 +164,9 @@ def _report(config, image, ranges, seeds, times, **fields) -> RunReport:
         bands=image.bands,
         depth=image.depth,
         seed_count=len(seeds),
-        seed_fraction=len(seeds) / (image.width * image.height),
+        seed_fraction=round(len(seeds) / (image.width * image.height), 6),
         ranges=ranges,
-        timings=times,
+        timings={k: round(v, 6) for k, v in times.items()},
         **fields,
     )
     if config.out_stats:
@@ -196,14 +175,17 @@ def _report(config, image, ranges, seeds, times, **fields) -> RunReport:
     return report
 
 
-def _label_summary(seeds: seeding.SeedMap, final_labels=None) -> list[dict]:
+def _label_summary(seeds: seeding.SeedMap, final_labels=None) -> dict:
+    """The ``labels`` rows and ``label_count``, the labels present in the output.
+
+    The output is the seed raster, or ``final_labels`` when given, whose
+    ids never exceed ``seeds.label_count``.
+    """
     id_to_key = {v: k for k, v in seeds.label_table.items()}
     seed_counts = np.bincount(seeds.labels, minlength=seeds.label_count + 1)
-    pixel_counts = None
+    counts = seed_counts
     if final_labels is not None:
-        pixel_counts = np.bincount(
-            final_labels.ravel(), minlength=seeds.label_count + 1
-        )
+        counts = np.bincount(final_labels.ravel(), minlength=seeds.label_count + 1)
     rows = []
     for lab in range(1, seeds.label_count + 1):
         range_idx, region = id_to_key[lab]
@@ -213,10 +195,10 @@ def _label_summary(seeds: seeding.SeedMap, final_labels=None) -> list[dict]:
             "region": seeding.region_name(region),
             "seeds": int(seed_counts[lab]),
         }
-        if pixel_counts is not None:
-            row["pixels"] = int(pixel_counts[lab]) if lab < len(pixel_counts) else 0
+        if final_labels is not None:
+            row["pixels"] = int(counts[lab])
         rows.append(row)
-    return rows
+    return {"labels": rows, "label_count": int(np.count_nonzero(counts[1:]))}
 
 
 def run_seeds(config: PipelineConfig) -> RunReport:
@@ -224,19 +206,15 @@ def run_seeds(config: PipelineConfig) -> RunReport:
     times = {}
     image, ranges, seeds = _load_and_seed(config, times)
 
-    seed_labels = np.zeros(image.height * image.width, dtype=np.uint32)
-    seed_labels[seeds.pixel_indices] = seeds.labels
-    seed_raster = LabelRaster(labels=seed_labels.reshape(image.height, image.width))
-
+    grid = init_from_seeds(image.width, image.height, seeds)
     with _phase(times, "write"):
         if config.out_labels:
-            raster.save_label_raster(seed_raster, config.out_labels)
+            raster.save_label_raster(LabelRaster(labels=grid.labels), config.out_labels)
 
     return _report(
         config, image, ranges, seeds, times,
         mode="seeds",
-        label_count=seeds.label_count,
-        label_summary=_label_summary(seeds),
+        **_label_summary(seeds),
     )
 
 
@@ -274,12 +252,10 @@ def run_segment(config: PipelineConfig) -> RunReport:
         )
 
     with _phase(times, "signatures"):
-        seg_summary = []
-        signatures = {}
+        seg_rows = []
         for seg in final.segments:
             signature = segmod.medoid_signature(image, seg.pixels)
-            signatures[seg.id] = signature
-            seg_summary.append(
+            seg_rows.append(
                 {
                     "id": seg.id,
                     "label": seg.label,
@@ -288,18 +264,17 @@ def run_segment(config: PipelineConfig) -> RunReport:
                 }
             )
 
-    label_raster = LabelRaster(labels=grid.labels.copy())
     with _phase(times, "write"):
         if config.out_labels:
-            raster.save_label_raster(label_raster, config.out_labels)
+            raster.save_label_raster(LabelRaster(labels=grid.labels), config.out_labels)
         if config.out_preview:
             triple = config.preview_bands
             if triple is None:
                 triple = (0, 1, 2) if image.bands >= 3 else (0, 0, 0)
             raster.save_preview(
                 image,
-                LabelRaster(labels=final.seg_map.copy()),
-                signatures,
+                LabelRaster(labels=final.seg_map),
+                {row["id"]: row["signature"] for row in seg_rows},
                 triple,
                 config.out_preview,
             )
@@ -307,15 +282,14 @@ def run_segment(config: PipelineConfig) -> RunReport:
     return _report(
         config, image, ranges, seeds, times,
         mode="segment",
-        label_count=label_raster.label_count(),
-        label_summary=_label_summary(seeds, final_labels=grid.labels),
+        **_label_summary(seeds, final_labels=grid.labels),
         steps_to_convergence=steps,
         converged=converged,
         segments_before=len(before),
         segments_after=len(final),
         rounds_used=rounds_used,
         cleared_per_round=cleared,
-        segment_summary=seg_summary,
+        segments=seg_rows,
     )
 
 

@@ -100,8 +100,19 @@ class LabelRaster:
 
     def label_count(self) -> int:
         """Number of distinct nonzero ids present."""
-        ids = np.unique(self.labels)
-        return int(len(ids) - (1 if len(ids) and ids[0] == 0 else 0))
+        return int(_nonzero_ids(self.labels).size)
+
+
+def _nonzero_ids(labels: np.ndarray) -> np.ndarray:
+    """Sorted distinct nonzero values of ``labels``.
+
+    One sort and a neighbor compare; plain ``np.unique`` would also check
+    for a masked array, which imports ``numpy.ma`` on first use.
+    """
+    ids = np.sort(labels[labels != 0])
+    keep = np.ones(ids.size, dtype=bool)
+    keep[1:] = ids[1:] != ids[:-1]
+    return ids[keep]
 
 
 def _envi_paths(path):
@@ -340,8 +351,7 @@ def save_preview(
     if any(b < 0 or b >= image.bands for b in triple):
         raise ContractError(f"band triple {triple} out of range for {image.bands} bands")
 
-    ids = np.unique(labels.labels)
-    ids = ids[ids != 0]
+    ids = _nonzero_ids(labels.labels)
     table = np.zeros((len(ids) + 1, 3), dtype=np.uint8)
     maxv = image.max_level
     for row, lab in enumerate(ids, start=1):

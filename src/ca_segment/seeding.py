@@ -50,6 +50,13 @@ class SeedMap:
     labels: np.ndarray
     label_table: dict = field(default_factory=dict)
 
+    def __post_init__(self):
+        idx, labels = np.asarray(self.pixel_indices), np.asarray(self.labels)
+        if idx.ndim != 1 or labels.ndim != 1 or idx.size != labels.size:
+            raise ContractError("seed pixel indices and labels must be 1-D and of equal length")
+        if labels.size and (labels.min() < 1 or labels.max() > np.iinfo(np.uint32).max):
+            raise ContractError("seed labels must lie in 1..2**32 - 1")
+
     def __len__(self) -> int:
         return int(self.pixel_indices.size)
 

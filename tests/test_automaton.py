@@ -153,7 +153,7 @@ class TestInitFromSeeds:
         grid = init_from_seeds(2, 2, seed_map([(0, 1)]))
         assert grid.labels.ravel().tolist() == [1, 0, 0, 0]
         assert grid.theta.ravel().tolist() == [1.0, 0.0, 0.0, 0.0]
-        assert grid.step == 0
+        assert grid.changed.ravel().tolist() == [True, False, False, False]
 
     def test_no_seeds_is_immediate_fixpoint(self):
         grid = init_from_seeds(3, 2, seed_map([]))

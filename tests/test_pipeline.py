@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -206,7 +207,7 @@ class TestRecomputeStats:
         assert stats["labeled_pixels"] == 64 * 64
         assert stats["label_count"] == report.label_count
         got = sorted((s["label"], s["area"]) for s in stats["segments"])
-        want = sorted((s["label"], s["area"]) for s in report.segment_summary)
+        want = sorted((s["label"], s["area"]) for s in report.segments)
         assert got == want
 
 
@@ -338,6 +339,7 @@ class TestCli:
             "from ca_segment.cli import main\n"
             "rc = main(sys.argv[1:])\n"
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+            "print('numpy.ma' in sys.modules)\n"
             "sys.exit(rc)\n"
         )
         proc = subprocess.run(
@@ -347,10 +349,80 @@ class TestCli:
                 "--input", path,
                 "--out-labels", str(tmp_path / "labels.u32"),
                 "--out-stats", str(tmp_path / "stats.json"),
+                "--out-preview", str(tmp_path / "preview.ppm"),
                 "--min-area", "10",
             ],
             capture_output=True,
             text=True,
         )
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.splitlines()[-1] == "[]"
+        # numpy.ma costs 15-25 ms to import and nothing here needs it
+        assert proc.stdout.splitlines()[-2:] == ["[]", "False"]
+
+
+SEGMENT_KEYS = {
+    "steps_to_convergence", "converged", "segments_before", "segments_after",
+    "rounds_used", "cleared_per_round", "segments",
+}
+COMMON_KEYS = {
+    "mode", "width", "height", "bands", "depth", "seed_count", "seed_fraction",
+    "label_count", "ranges", "labels", "timings",
+}
+
+
+def golden_scene():
+    """Three spectral regions, a block below the study scale, fixed ripple."""
+    r, c = np.mgrid[0:36, 0:40]
+    data = np.empty((36, 40, 3), dtype=np.int64)
+    data[:] = (60, 60, 60)
+    data[:18, 20:] = (180, 70, 70)
+    data[18:, 20:] = (70, 70, 190)
+    data[6:10, 6:10] = (200, 200, 200)
+    data += ((r * 31 + c * 17) % 7 - 3)[:, :, None]
+    return data.astype(np.uint8)
+
+
+def sha256(data):
+    return hashlib.sha256(data).hexdigest()
+
+
+class TestStatsRecord:
+    def test_report_fields_are_the_stats_keys(self, tmp_path):
+        path = write_envi(tmp_path / "img.bsq", golden_scene())
+        for run, keys in ((run_segment, COMMON_KEYS | SEGMENT_KEYS), (run_seeds, COMMON_KEYS)):
+            out = run(base_config(tmp_path, path, min_area=30)).to_dict()
+            assert set(out) == keys
+            assert all(value is not None for value in out.values())
+            assert json.loads((tmp_path / "stats.json").read_text()) == out
+
+    def test_outputs_match_pinned_hashes(self, tmp_path):
+        # a change to any byte of these outputs shows here, not only in the
+        # benchmark's hashes; timings are the one part allowed to vary
+        path = write_envi(tmp_path / "img.bsq", golden_scene())
+        pinned = {
+            "segment": (
+                "eddfd1c71fb209817d361ad1b25eb58172ef7b93bf060952d7b89f73f63ffb38",
+                "a0ed8179efbe85a9853d4ba29be355953894a7d72632ad6bf18e3b822ea0d2b0",
+                "f34828ef7c6e812a62efd2bda9b8ddef22b57276f2c25f2bb2ac2591dabec539",
+            ),
+            "seeds": (
+                "44cbfc8c5f9c45c1fb74d4e102211cae0afa4a7c07c3e63060eb578e3ccf4828",
+                "a0ed8179efbe85a9853d4ba29be355953894a7d72632ad6bf18e3b822ea0d2b0",
+                "fb61dea95a4e405a11c855a0f8b4f494417f5c5be3f01af0e85b0a4059ab9668",
+            ),
+        }
+        preview = tmp_path / "preview.ppm"
+        for mode, run in (("segment", run_segment), ("seeds", run_seeds)):
+            run(base_config(tmp_path, path, min_area=30, out_preview=str(preview)))
+            stats = json.loads((tmp_path / "stats.json").read_text())
+            stats.pop("timings")
+            canonical = json.dumps(stats, sort_keys=True, indent=2) + "\n"
+            assert (
+                sha256((tmp_path / "labels.u32").read_bytes()),
+                sha256((tmp_path / "labels.u32.json").read_bytes()),
+                sha256(canonical.encode()),
+            ) == pinned[mode], mode
+        # only the segment run writes a preview
+        assert sha256(preview.read_bytes()) == (
+            "b554fbb55279b2dd87f5486a533590af6a7fc19784e4f8b5bf712c32ab9c47a2"
+        )

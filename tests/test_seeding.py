@@ -6,6 +6,7 @@ from ca_segment import (
     BALANCED,
     ContractError,
     MultibandImage,
+    SeedMap,
     SumRange,
     classify_spectral_region,
     compute_sum_histogram,
@@ -263,3 +264,42 @@ class TestGenerateSeeds:
         assert (a.pixel_indices == b.pixel_indices).all()
         assert (a.labels == b.labels).all()
         assert a.label_table == b.label_table
+
+
+class TestSeedMapContract:
+    def test_unequal_lengths_rejected(self):
+        with pytest.raises(ContractError, match="equal length"):
+            SeedMap(
+                pixel_indices=np.array([0, 1], dtype=np.int64),
+                labels=np.array([1], dtype=np.uint32),
+            )
+
+    def test_non_flat_arrays_rejected(self):
+        with pytest.raises(ContractError, match="1-D"):
+            SeedMap(
+                pixel_indices=np.array([[0, 1]], dtype=np.int64),
+                labels=np.array([[1, 1]], dtype=np.uint32),
+            )
+
+    def test_null_label_rejected(self):
+        # a label-0 seed would leave cells with strength but no label
+        with pytest.raises(ContractError, match="labels must lie"):
+            SeedMap(
+                pixel_indices=np.array([0, 1], dtype=np.int64),
+                labels=np.array([1, 0], dtype=np.uint32),
+            )
+
+    def test_labels_outside_uint32_rejected(self):
+        for bad in (-1, 2**32):
+            with pytest.raises(ContractError, match="labels must lie"):
+                SeedMap(
+                    pixel_indices=np.array([0, 1], dtype=np.int64),
+                    labels=np.array([1, bad], dtype=np.int64),
+                )
+
+    def test_largest_uint32_label_accepted(self):
+        seeds = SeedMap(
+            pixel_indices=np.array([0, 1], dtype=np.int64),
+            labels=np.array([1, 2**32 - 1], dtype=np.uint32),
+        )
+        assert len(seeds) == 2

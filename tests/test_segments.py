@@ -30,7 +30,7 @@ def raster(rows):
 def grid_from_labels(rows):
     labels = np.asarray(rows, dtype=np.uint32)
     theta = (labels != 0).astype(np.float64)
-    return AutomatonGrid(labels=labels, theta=theta, step=0)
+    return AutomatonGrid(labels=labels, theta=theta)
 
 
 def image_from(data):
@@ -278,7 +278,7 @@ class TestEliminateOversegmentation:
         def eliminate_both(image, grid, min_area):
             weights = moore_weights(image)
             grid, _, converged = run_to_convergence(grid, weights, max_iters=2)
-            unknown = AutomatonGrid(labels=grid.labels, theta=grid.theta, step=grid.step)
+            unknown = AutomatonGrid(labels=grid.labels, theta=grid.theta)
             results = []
             for start in (grid, unknown):
                 try:
