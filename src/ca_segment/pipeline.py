@@ -207,14 +207,17 @@ def run_seeds(config: PipelineConfig) -> RunReport:
     image, ranges, seeds = _load_and_seed(config, times)
 
     grid = init_from_seeds(image.width, image.height, seeds)
+    summary = _label_summary(seeds)
     with _phase(times, "write"):
         if config.out_labels:
-            raster.save_label_raster(LabelRaster(labels=grid.labels), config.out_labels)
+            raster.save_label_raster(
+                LabelRaster(labels=grid.labels), config.out_labels, summary["label_count"]
+            )
 
     return _report(
         config, image, ranges, seeds, times,
         mode="seeds",
-        **_label_summary(seeds),
+        **summary,
     )
 
 
@@ -264,9 +267,12 @@ def run_segment(config: PipelineConfig) -> RunReport:
                 }
             )
 
+    summary = _label_summary(seeds, final_labels=grid.labels)
     with _phase(times, "write"):
         if config.out_labels:
-            raster.save_label_raster(LabelRaster(labels=grid.labels), config.out_labels)
+            raster.save_label_raster(
+                LabelRaster(labels=grid.labels), config.out_labels, summary["label_count"]
+            )
         if config.out_preview:
             triple = config.preview_bands
             if triple is None:
@@ -282,7 +288,7 @@ def run_segment(config: PipelineConfig) -> RunReport:
     return _report(
         config, image, ranges, seeds, times,
         mode="segment",
-        **_label_summary(seeds, final_labels=grid.labels),
+        **summary,
         steps_to_convergence=steps,
         converged=converged,
         segments_before=len(before),

@@ -282,17 +282,21 @@ def load_image(path, format=None) -> MultibandImage:
     raise ContractError(f"unknown image format '{format}'")
 
 
-def save_label_raster(raster: LabelRaster, path) -> None:
+def save_label_raster(raster: LabelRaster, path, label_count: int | None = None) -> None:
     """Write raw little-endian uint32 labels plus a JSON sidecar.
 
     The sidecar at ``<path>.json`` records width, height and the number of
     distinct nonzero ids, so ``load_label_raster`` can rebuild the grid.
+    A caller that has counted those ids passes ``label_count``; otherwise
+    they are counted here.
     """
+    if label_count is None:
+        label_count = raster.label_count()
     payload = raster.labels.astype("<u4", copy=False).tobytes()
     sidecar = {
         "width": raster.width,
         "height": raster.height,
-        "label_count": raster.label_count(),
+        "label_count": label_count,
     }
     with open(path, "wb") as fh:
         fh.write(payload)

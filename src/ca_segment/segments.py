@@ -176,6 +176,60 @@ def eliminate_oversegmentation(
     return grid, rounds_used, cleared_per_round, segs
 
 
+# Bytes of distances per matmul: 32 rows of a 4 096-member segment.
+_BLOCK_BYTES = 1024 * 1024
+# Segments with fewer members skip the bounds and compute every row:
+# bounded, 8-band 16-bit textured segments of 1 339 to 1 773 members still
+# computed 70 to 100 % of their rows and 4-band discs of 800 about half,
+# and they took up to 1.4 and 1.3 times as long as with no bounds.
+_PRUNE_MIN_ROWS = 2048
+# Bounds stop being updated after a batch that newly prunes fewer members
+# than this share of its own row count.
+_PRUNE_MIN_YIELD = 0.75
+
+
+def _distance_rows(left, right_t, rows):
+    """Distances from the members ``rows`` to every member, and their sums.
+
+    Each row of the result is a C-contiguous array of length m, so its
+    sum does not depend on which batch or block computes it.
+    """
+    dist = left[rows] @ right_t
+    np.sqrt(dist, out=dist)
+    return dist, dist.sum(axis=1)
+
+
+def _bounded_rows(left, right_t, vectors, sums, block, slack):
+    """Compute rows in batches while their bounds prune; return the rows left.
+
+    Fills ``sums`` at each computed row. A member is dropped once its
+    lower bound on the mean distance exceeds the best mean so far plus
+    ``slack``, so the rows returned are the members not yet computed
+    whose sums may still equal the minimum.
+    """
+    m = sums.size
+    bound = np.zeros(m)
+    live = np.ones(m, dtype=bool)
+    near = ((vectors - vectors.mean(axis=0)) ** 2).sum(axis=1)
+    batch = np.argpartition(near, block - 1)[:block]
+    first = True
+    while True:
+        dist, sums[batch] = _distance_rows(left, right_t, batch)
+        live[batch] = False
+        before = np.count_nonzero(live)
+        # S(i)/m - d(i, j) <= S(j)/m by the triangle inequality
+        np.subtract((sums[batch] / m)[:, None], dist, out=dist)
+        np.maximum(bound, dist.max(axis=0), out=bound)
+        live &= ~(bound > sums.min() / m + slack)
+        rest = np.flatnonzero(live)
+        if rest.size == 0 or (not first and before - rest.size < _PRUNE_MIN_YIELD * batch.size):
+            return rest
+        first = False
+        batch = rest
+        if rest.size > block:
+            batch = rest[np.argpartition(bound[rest], block - 1)[:block]]
+
+
 def medoid_signature(image: MultibandImage, pixels, sample_cap: int = 4096) -> np.ndarray:
     """Member vector minimizing the summed Euclidean distance to the segment.
 
@@ -194,6 +248,26 @@ def medoid_signature(image: MultibandImage, pixels, sample_cap: int = 4096) -> n
     array of length m summed with ``sum(axis=1)``; numpy's pairwise
     summation depends on that layout, so the sums, and the argmin on a
     tie, are fixed by it.
+
+    Segments of at least ``_PRUNE_MIN_ROWS`` members skip the rows that
+    cannot hold the minimum, as trimed does (Newling & Fleuret, AISTATS
+    2017). With S(j) the distance sum of member j, the triangle
+    inequality gives S(j)/m ≥ S(i)/m − d(i, j) for every computed row i,
+    and the largest such value is kept as a lower bound on each member.
+    Rows are computed in batches of one block: first the members nearest
+    the band-wise mean, then the live members with the lowest bounds. A
+    member is dropped only when its bound is strictly greater than the
+    best sum so far divided by m plus a slack of
+    8·(m + 2)·2⁻⁵²·√bands·(2^depth − 1). With D = √bands·(2^depth − 1),
+    the largest distance, the computed sums, roots and quotients that the
+    test compares are off by at most about (2m + 5)·2⁻⁵³·D in all, under a
+    seventh of the slack, so a dropped member's computed sum is strictly
+    greater than the best. Once a batch after the first drops fewer
+    members than ``_PRUNE_MIN_YIELD`` of its own row count, the bounds
+    stop and the live members left are computed in blocks. Every
+    computed row is the row described above, and every member whose sum
+    could equal the minimum is computed, so the argmin, lowest index
+    first, is the one over all m rows.
     """
     idx = np.asarray(pixels, dtype=np.int64)
     if idx.size == 0:
@@ -211,13 +285,15 @@ def medoid_signature(image: MultibandImage, pixels, sample_cap: int = 4096) -> n
     norms = (vectors * vectors).sum(axis=1)[:, None]
     ones = np.ones((m, 1), dtype=np.float64)
     left = np.hstack((-2.0 * vectors, norms, ones))
-    right = np.hstack((vectors, ones, norms))
-    sums = np.empty(m, dtype=np.float64)
-    chunk = max(1, min(m, 1024 * 1024 // (8 * m)))  # ~1 MiB of distances
-    for start in range(0, m, chunk):
-        stop = start + chunk
-        dist = left[start:stop] @ right.T
-        np.sqrt(dist, out=dist)
-        sums[start:stop] = dist.sum(axis=1)
+    right_t = np.hstack((vectors, ones, norms)).T
+    sums = np.full(m, np.inf)
+    block = max(1, min(m, _BLOCK_BYTES // (8 * m)))
+    rest = np.arange(m)
+    if m >= _PRUNE_MIN_ROWS:
+        slack = 8 * (m + 2) * 2.0**-52 * np.sqrt(image.bands) * image.max_level
+        rest = _bounded_rows(left, right_t, vectors, sums, block, slack)
+    for start in range(0, rest.size, block):
+        rows = rest[start : start + block]
+        _, sums[rows] = _distance_rows(left, right_t, rows)
     best = int(np.argmin(sums))  # first minimum = lowest pixel index
     return flat[idx[best]].copy()

@@ -261,6 +261,29 @@ def medoid_by_bruteforce(vectors):
     return int(np.argmin(sums))
 
 
+def medoid_by_blocks(vectors):
+    """Index of the medoid by every row of distances, one ~1 MiB block at a time.
+
+    The unpruned blocked kernel: augmented-vector matmul, root, and a
+    ``sum(axis=1)`` over each C-contiguous row of length m, so its sums
+    and tie order are the ones every pruned computation must reproduce.
+    """
+    vectors = np.asarray(vectors, dtype=np.float64)
+    m = vectors.shape[0]
+    norms = (vectors * vectors).sum(axis=1)[:, None]
+    ones = np.ones((m, 1), dtype=np.float64)
+    left = np.hstack((-2.0 * vectors, norms, ones))
+    right = np.hstack((vectors, ones, norms))
+    sums = np.empty(m, dtype=np.float64)
+    chunk = max(1, min(m, 1024 * 1024 // (8 * m)))
+    for start in range(0, m, chunk):
+        stop = start + chunk
+        dist = left[start:stop] @ right.T
+        np.sqrt(dist, out=dist)
+        sums[start:stop] = dist.sum(axis=1)
+    return int(np.argmin(sums))
+
+
 def best_match_agreement(predicted, truth):
     """Pixel agreement under the best many-to-one label-to-region map."""
     predicted = np.asarray(predicted).ravel()

@@ -8,6 +8,7 @@ import pytest
 
 from ca_segment import (
     ContractError,
+    LabelRaster,
     MultibandImage,
     PipelineConfig,
     load_label_raster,
@@ -426,3 +427,16 @@ class TestStatsRecord:
         assert sha256(preview.read_bytes()) == (
             "b554fbb55279b2dd87f5486a533590af6a7fc19784e4f8b5bf712c32ab9c47a2"
         )
+
+    def test_sidecar_count_comes_from_the_label_summary(self, tmp_path, monkeypatch):
+        # the runs have counted the labels present once already; a second
+        # count of the raster for its sidecar is wasted work
+        def recount(self):
+            raise AssertionError("labels counted again for the sidecar")
+
+        monkeypatch.setattr(LabelRaster, "label_count", recount)
+        path = write_envi(tmp_path / "img.bsq", golden_scene())
+        for run in (run_segment, run_seeds):
+            report = run(base_config(tmp_path, path, min_area=30))
+            sidecar = json.loads((tmp_path / "labels.u32.json").read_text())
+            assert sidecar["label_count"] == report.label_count

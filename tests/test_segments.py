@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import reference
+from ca_segment import segments
 from ca_segment import (
     AttenuationParams,
     AutomatonGrid,
@@ -463,6 +464,59 @@ class TestMedoidSignature:
         want = sub[reference.medoid_by_bruteforce(sub)]
         assert got.tolist() == want.tolist()
 
+    def test_bounded_path_at_the_floor_matches_blocked_kernel(self):
+        # at the real floor and block size, against the unpruned kernel: a
+        # clustered 4-band segment of 3 000 members, the 16-bit capped case
+        # above with a cap at and above the floor, and 0/65535 palettes in
+        # equal numbers, whose exact ties only the lowest index breaks
+        assert segments._PRUNE_MIN_ROWS <= 3000
+        image = clustered_image(np.random.default_rng(97), 80, 4)
+        pixels = np.arange(3000) * 2
+        got = medoid_signature(image, pixels)
+        vectors = image.data.reshape(-1, 4)[pixels]
+        assert got.tolist() == vectors[reference.medoid_by_blocks(vectors)].tolist()
+
+        rng = np.random.default_rng(89)
+        bands = 12
+        data = rng.integers(0, 65536, size=(60, 60, bands)).astype(np.uint16)
+        data[rng.random((60, 60)) < 0.5] = rng.choice([0, 65535], size=bands)
+        image = MultibandImage(data=data, depth=16)
+        pixels = np.sort(rng.choice(3600, size=3000, replace=False))
+        for cap in (segments._PRUNE_MIN_ROWS, 4096):
+            m = min(cap, 3000)
+            got = medoid_signature(image, pixels, sample_cap=cap)
+            sub = data.reshape(-1, bands)[pixels[(np.arange(m) * 3000) // m]]
+            assert got.tolist() == sub[reference.medoid_by_blocks(sub)].tolist()
+
+        rng = np.random.default_rng(83)
+        for _ in range(20):
+            bands = int(rng.integers(1, 13))
+            palette = rng.choice([0, 65535], size=(int(rng.integers(2, 6)), bands))
+            vectors = palette[rng.permutation(np.arange(3000) % len(palette))].astype(np.uint16)
+            image = MultibandImage(data=vectors.reshape(50, 60, bands), depth=16)
+            got = medoid_signature(image, np.arange(3000))
+            assert got.tolist() == vectors[reference.medoid_by_blocks(vectors)].tolist()
+
+    def test_pruning_skips_rows(self, monkeypatch):
+        # every oracle test passes with pruning turned off, so count the rows
+        rows = []
+        compute = segments._distance_rows
+
+        def spy(left, right_t, which):
+            dist, sums = compute(left, right_t, which)
+            rows.append(len(sums))
+            return dist, sums
+
+        monkeypatch.setattr(segments, "_distance_rows", spy)
+        image = clustered_image(np.random.default_rng(101), 80, 4)
+        medoid_signature(image, np.arange(80 * 80))
+        assert 0 < sum(rows) < 4096 // 2
+
+        rows.clear()
+        small = segments._PRUNE_MIN_ROWS - 1
+        medoid_signature(image, np.arange(small))
+        assert sum(rows) == small
+
     def test_empty_pixel_list(self):
         image = image_from(np.zeros((1, 1, 1)))
         with pytest.raises(ContractError):
@@ -472,3 +526,58 @@ class TestMedoidSignature:
         image = image_from(np.zeros((1, 1, 1)))
         with pytest.raises(ContractError):
             medoid_signature(image, [0], sample_cap=0)
+
+
+def clustered_image(rng, side, bands):
+    """8-bit texture around one mean, like a planted background."""
+    mean = rng.integers(60, 196, size=bands)
+    data = np.clip(np.rint(rng.normal(mean, 12, size=(side, side, bands))), 0, 255)
+    return image_from(data)
+
+
+@st.composite
+def medoid_members(draw):
+    """(image of m member vectors, rows per block) across the shapes pruning meets."""
+    depth = draw(st.sampled_from((8, 16)))
+    top = (1 << depth) - 1
+    bands = draw(st.integers(1, 12))
+    m = draw(st.integers(1, 160))
+    kind = draw(st.sampled_from(("uniform", "clustered", "palette", "identical", "extremes")))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "uniform":
+        vectors = rng.integers(0, top + 1, size=(m, bands))
+    elif kind == "clustered":
+        centres = rng.integers(0, top + 1, size=(draw(st.integers(1, 4)), bands))
+        spread = top // 40
+        noise = rng.integers(-spread, spread + 1, size=(m, bands))
+        vectors = np.clip(centres[rng.integers(0, len(centres), size=m)] + noise, 0, top)
+    elif kind == "palette":
+        palette = rng.integers(0, top + 1, size=(draw(st.integers(1, 4)), bands))
+        vectors = palette[rng.integers(0, len(palette), size=m)]
+    elif kind == "identical":
+        vectors = np.broadcast_to(rng.integers(0, top + 1, size=bands), (m, bands))
+    else:
+        # equal numbers of extreme vectors: equal or nearly equal sums
+        distinct = draw(st.integers(2, 5))
+        palette = rng.choice([0, top], size=(distinct, bands))
+        vectors = palette[rng.permutation(np.arange(m) % distinct)]
+    data = np.ascontiguousarray(vectors, dtype=np.uint8 if depth == 8 else np.uint16)
+    return MultibandImage(data=data[None], depth=depth), draw(st.integers(1, 4))
+
+
+@settings(max_examples=300, deadline=None)
+@given(medoid_members())
+# every member but member 2 ties for the least sum; pruning a member whose
+# bound only equals the best sum drops member 0 before it is computed
+@example((MultibandImage(data=np.array([[[3], [2], [0], [3], [3], [2]]], dtype=np.uint8), depth=8), 3))
+def test_bounded_medoid_matches_bruteforce(case):
+    # bound every segment, in blocks of a few rows, so that the bounded
+    # batches, the stop on a low yield and the dense tail all run
+    image, block_rows = case
+    m = image.width
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(segments, "_PRUNE_MIN_ROWS", 1)
+        mp.setattr(segments, "_BLOCK_BYTES", 8 * m * block_rows)
+        got = medoid_signature(image, np.arange(m))
+    vectors = image.data[0]
+    assert got.tolist() == vectors[reference.medoid_by_bruteforce(vectors)].tolist()
