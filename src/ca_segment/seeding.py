@@ -76,21 +76,25 @@ def compute_sum_histogram(image: MultibandImage) -> np.ndarray:
     [0, bands * (2**depth - 1)], so its length is fixed by the image
     geometry and the counts total width * height.
     """
-    sums = image.data.astype(np.int64).sum(axis=2)
+    sums = np.zeros((image.height, image.width), dtype=np.int64)
+    for band in range(image.bands):
+        sums += image.data[:, :, band]
     domain = image.bands * image.max_level + 1
-    return np.bincount(sums.ravel(), minlength=domain).astype(np.int64)
+    return np.bincount(sums.ravel(), minlength=domain).astype(np.int64, copy=False)
 
 
 def _smooth(counts, window):
     # centered moving average over an odd window; the window shrinks at the
     # domain edges so the denominator only counts bins that exist. Interior
-    # bins take one slice of the prefix sums; only the at most 2 * half edge
-    # bins need the clipped bounds.
+    # bins take one in-place slice of the prefix sums (a 16-bit histogram's
+    # temporaries are megabytes); only the 2 * half edge bins need clipping.
     half = window // 2
     n = len(counts)
-    csum = np.concatenate(([0.0], np.cumsum(counts, dtype=np.float64)))
+    csum = np.zeros(n + 1, dtype=np.float64)
+    np.cumsum(counts, dtype=np.float64, out=csum[1:])
     out = np.empty(n, dtype=np.float64)
-    out[half : n - half] = (csum[window:] - csum[:-window]) / window
+    np.subtract(csum[window:], csum[:-window], out=out[half : n - half])
+    out[half : n - half] /= window
     edge = np.concatenate((np.arange(min(half, n)), np.arange(max(half, n - half), n)))
     lo = np.maximum(edge - half, 0)
     hi = np.minimum(edge + half, n - 1)

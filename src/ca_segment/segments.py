@@ -176,16 +176,9 @@ def eliminate_oversegmentation(
     return grid, rounds_used, cleared_per_round, segs
 
 
-# Bytes of distances per matmul: 32 rows of a 4 096-member segment.
+# Bytes of distances per matmul in the plain blocks: 32 rows of a 4 096-member segment.
 _BLOCK_BYTES = 1024 * 1024
-# Segments with fewer members skip the bounds and compute every row:
-# bounded, 8-band 16-bit textured segments of 1 339 to 1 773 members still
-# computed 70 to 100 % of their rows and 4-band discs of 800 about half,
-# and they took up to 1.4 and 1.3 times as long as with no bounds.
-_PRUNE_MIN_ROWS = 2048
-# Bounds stop being updated after a batch that newly prunes fewer members
-# than this share of its own row count.
-_PRUNE_MIN_YIELD = 0.75
+_BATCH_ROWS = 16  # rows per bounded batch
 
 
 def _distance_rows(left, right_t, rows):
@@ -199,35 +192,22 @@ def _distance_rows(left, right_t, rows):
     return dist, dist.sum(axis=1)
 
 
-def _bounded_rows(left, right_t, vectors, sums, block, slack):
-    """Compute rows in batches while their bounds prune; return the rows left.
+def _tangent_bounds(dist, sums, vectors, rows, targets, max_dist):
+    """Lower bounds, less each row's slack, on the distance sums of ``targets``.
 
-    Fills ``sums`` at each computed row. A member is dropped once its
-    lower bound on the mean distance exceeds the best mean so far plus
-    ``slack``, so the rows returned are the members not yet computed
-    whose sums may still equal the minimum.
+    ``dist`` and ``sums`` are what ``_distance_rows`` returned for ``rows``;
+    ``dist`` is overwritten. ``medoid_signature`` derives the bound and slack.
     """
-    m = sums.size
-    bound = np.zeros(m)
-    live = np.ones(m, dtype=bool)
-    near = ((vectors - vectors.mean(axis=0)) ** 2).sum(axis=1)
-    batch = np.argpartition(near, block - 1)[:block]
-    first = True
-    while True:
-        dist, sums[batch] = _distance_rows(left, right_t, batch)
-        live[batch] = False
-        before = np.count_nonzero(live)
-        # S(i)/m - d(i, j) <= S(j)/m by the triangle inequality
-        np.subtract((sums[batch] / m)[:, None], dist, out=dist)
-        np.maximum(bound, dist.max(axis=0), out=bound)
-        live &= ~(bound > sums.min() / m + slack)
-        rest = np.flatnonzero(live)
-        if rest.size == 0 or (not first and before - rest.size < _PRUNE_MIN_YIELD * batch.size):
-            return rest
-        first = False
-        batch = rest
-        if rest.size > block:
-            batch = rest[np.argpartition(bound[rest], block - 1)[:block]]
+    m, bands = vectors.shape
+    dist[dist == 0] = np.inf  # coincident members add nothing to the subgradient
+    weights = np.reciprocal(dist, out=dist)
+    wsum = weights.sum(axis=1)
+    at = vectors[rows]
+    grad = at * wsum[:, None] - weights @ vectors
+    slack = 2.0**-48 * (m + bands + 6) * max_dist * (m + max_dist * wsum)
+    tangents = grad @ np.take(vectors, targets, axis=0).T
+    tangents += (sums - (grad * at).sum(axis=1) - slack)[:, None]
+    return tangents.max(axis=0)
 
 
 def medoid_signature(image: MultibandImage, pixels, sample_cap: int = 4096) -> np.ndarray:
@@ -249,25 +229,30 @@ def medoid_signature(image: MultibandImage, pixels, sample_cap: int = 4096) -> n
     summation depends on that layout, so the sums, and the argmin on a
     tie, are fixed by it.
 
-    Segments of at least ``_PRUNE_MIN_ROWS`` members skip the rows that
-    cannot hold the minimum, as trimed does (Newling & Fleuret, AISTATS
-    2017). With S(j) the distance sum of member j, the triangle
-    inequality gives S(j)/m ≥ S(i)/m − d(i, j) for every computed row i,
-    and the largest such value is kept as a lower bound on each member.
-    Rows are computed in batches of one block: first the members nearest
-    the band-wise mean, then the live members with the lowest bounds. A
-    member is dropped only when its bound is strictly greater than the
-    best sum so far divided by m plus a slack of
-    8·(m + 2)·2⁻⁵²·√bands·(2^depth − 1). With D = √bands·(2^depth − 1),
-    the largest distance, the computed sums, roots and quotients that the
-    test compares are off by at most about (2m + 5)·2⁻⁵³·D in all, under a
-    seventh of the slack, so a dropped member's computed sum is strictly
-    greater than the best. Once a batch after the first drops fewer
-    members than ``_PRUNE_MIN_YIELD`` of its own row count, the bounds
-    stop and the live members left are computed in blocks. Every
-    computed row is the row described above, and every member whose sum
-    could equal the minimum is computed, so the argmin, lowest index
-    first, is the one over all m rows.
+    Only rows that could hold the minimum are computed. F(y) = Σₖ‖y − xₖ‖
+    is convex and S(j) = F(xⱼ), so row i gives the tangent bound
+    S(j) ≥ S(i) + gᵢ·(xⱼ − xᵢ), where the subgradient (Weiszfeld's slope)
+    gᵢ = Σ (xᵢ − xₖ)/d(i, k) over xₖ ≠ xᵢ is xᵢ·Σw − w·X with w = 1/d.
+    Batches of ``_BATCH_ROWS`` rows go nearest the band-wise mean first,
+    then lowest bound first, and bound the live members by one matmul. A
+    member equal to a computed one has that row bit for bit, so it takes
+    its sum; one whose bound less the slack is strictly above the best sum
+    is dropped. Once a batch settles no member but its own, the rest are
+    computed in plain blocks of ``_BLOCK_BYTES``.
+
+    The slack covers rounding. Let u = 2⁻⁵³, L = 2^depth − 1 and D = √n·L
+    for n bands, the largest distance; ‖gᵢ‖ < m and |gᵢ·x| ≤ m·D. Roots are
+    off by u·d and a sum of m terms in any order by (m − 1)·u·Σ|terms|, so a
+    computed sum is off by m²·u·D. Weights off by 2u relative and the last
+    subtraction move gᵢ by 3m·u; both terms of xᵢ·Σw − w·X reach L·Σw and
+    lose up to m·u·L·Σw each, which moves gᵢ by (2m + 1)·u·D·Σw more in
+    norm. Times ‖xⱼ − xᵢ‖ ≤ D, plus n·m·u·D for each dot product with gᵢ and
+    3m·u·D for each of three additions, a bound and the two sums compared
+    are off by at most u·D·(2m² + (2m + 1)·D·Σw + (2n + 12)·m). The slack,
+    2⁻⁴⁸·(m + n + 6)·D·(m + D·Σw), is 16 times that or more, term by term,
+    so a dropped member's computed sum exceeds the best: every member that
+    could hold the minimum is computed or copied, and the argmin, lowest
+    index first, is the one over all m rows.
     """
     idx = np.asarray(pixels, dtype=np.int64)
     if idx.size == 0:
@@ -282,16 +267,27 @@ def medoid_signature(image: MultibandImage, pixels, sample_cap: int = 4096) -> n
     flat = image.data.reshape(-1, image.bands)
     vectors = flat[idx].astype(np.float64)
     m = vectors.shape[0]
-    norms = (vectors * vectors).sum(axis=1)[:, None]
-    ones = np.ones((m, 1), dtype=np.float64)
-    left = np.hstack((-2.0 * vectors, norms, ones))
-    right_t = np.hstack((vectors, ones, norms)).T
+    norms = np.einsum("ij,ij->i", vectors, vectors)[:, None]
+    left = np.hstack((-2.0 * vectors, norms, np.ones((m, 1))))
+    right_t = np.hstack((vectors, np.ones((m, 1)), norms)).T
+    max_dist = np.sqrt(image.bands) * image.max_level
     sums = np.full(m, np.inf)
+    rest = np.arange(m)  # members neither settled nor dropped
+    low = np.full(m, -np.inf)  # lower bounds on their sums
+    order = norms[:, 0] - 2 * (vectors @ (vectors.sum(axis=0) / m))  # |x − mean|² less a constant
+    while rest.size:
+        batch = rest[np.argpartition(order, min(_BATCH_ROWS, rest.size) - 1)[:_BATCH_ROWS]]
+        dist, sums[batch] = _distance_rows(left, right_t, batch)
+        copy = np.flatnonzero(dist == 0)  # a member equal to a computed one has its row
+        sums[copy % m] = sums[batch[copy // m]]
+        np.maximum(low, _tangent_bounds(dist, sums[batch], vectors, batch, rest, max_dist), out=low)
+        live = (sums[rest] == np.inf) & ~(low > sums.min())
+        if np.count_nonzero(live) + batch.size == rest.size:
+            rest = rest[live]
+            break  # the batch settled no other member: the rest go in plain blocks
+        rest, low = rest[live], low[live]
+        order = low
     block = max(1, min(m, _BLOCK_BYTES // (8 * m)))
-    rest = np.arange(m)
-    if m >= _PRUNE_MIN_ROWS:
-        slack = 8 * (m + 2) * 2.0**-52 * np.sqrt(image.bands) * image.max_level
-        rest = _bounded_rows(left, right_t, vectors, sums, block, slack)
     for start in range(0, rest.size, block):
         rows = rest[start : start + block]
         _, sums[rows] = _distance_rows(left, right_t, rows)

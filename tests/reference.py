@@ -268,6 +268,11 @@ def medoid_by_blocks(vectors):
     ``sum(axis=1)`` over each C-contiguous row of length m, so its sums
     and tie order are the ones every pruned computation must reproduce.
     """
+    return int(np.argmin(distance_sums_by_blocks(vectors)))
+
+
+def distance_sums_by_blocks(vectors):
+    """Every member's distance sum, as the blocked kernel of ``medoid_by_blocks`` computes it."""
     vectors = np.asarray(vectors, dtype=np.float64)
     m = vectors.shape[0]
     norms = (vectors * vectors).sum(axis=1)[:, None]
@@ -281,7 +286,7 @@ def medoid_by_blocks(vectors):
         dist = left[start:stop] @ right.T
         np.sqrt(dist, out=dist)
         sums[start:stop] = dist.sum(axis=1)
-    return int(np.argmin(sums))
+    return sums
 
 
 def best_match_agreement(predicted, truth):

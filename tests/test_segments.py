@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -465,11 +467,10 @@ class TestMedoidSignature:
         assert got.tolist() == want.tolist()
 
     def test_bounded_path_at_the_floor_matches_blocked_kernel(self):
-        # at the real floor and block size, against the unpruned kernel: a
+        # at the real batch and block size, against the unpruned kernel: a
         # clustered 4-band segment of 3 000 members, the 16-bit capped case
-        # above with a cap at and above the floor, and 0/65535 palettes in
+        # above with a cap at 2 048 and above it, and 0/65535 palettes in
         # equal numbers, whose exact ties only the lowest index breaks
-        assert segments._PRUNE_MIN_ROWS <= 3000
         image = clustered_image(np.random.default_rng(97), 80, 4)
         pixels = np.arange(3000) * 2
         got = medoid_signature(image, pixels)
@@ -482,7 +483,7 @@ class TestMedoidSignature:
         data[rng.random((60, 60)) < 0.5] = rng.choice([0, 65535], size=bands)
         image = MultibandImage(data=data, depth=16)
         pixels = np.sort(rng.choice(3600, size=3000, replace=False))
-        for cap in (segments._PRUNE_MIN_ROWS, 4096):
+        for cap in (2048, 4096):
             m = min(cap, 3000)
             got = medoid_signature(image, pixels, sample_cap=cap)
             sub = data.reshape(-1, bands)[pixels[(np.arange(m) * 3000) // m]]
@@ -504,18 +505,32 @@ class TestMedoidSignature:
 
         def spy(left, right_t, which):
             dist, sums = compute(left, right_t, which)
-            rows.append(len(sums))
+            rows.extend(which.tolist())
             return dist, sums
 
         monkeypatch.setattr(segments, "_distance_rows", spy)
         image = clustered_image(np.random.default_rng(101), 80, 4)
         medoid_signature(image, np.arange(80 * 80))
-        assert 0 < sum(rows) < 4096 // 2
+        assert 0 < len(rows) < 4096 // 16
 
         rows.clear()
-        small = segments._PRUNE_MIN_ROWS - 1
-        medoid_signature(image, np.arange(small))
-        assert sum(rows) == small
+        medoid_signature(image, np.arange(2047))
+        assert 0 < len(rows) < 2047 // 8
+
+        # a member equal to a computed one takes that row's sum, so identical
+        # members compute one batch
+        rows.clear()
+        image = image_from(np.broadcast_to([7, 200, 31], (40, 50, 3)))
+        medoid_signature(image, np.arange(2000))
+        assert 0 < len(rows) <= segments._BATCH_ROWS
+
+        # every permutation of one vector: all sums are equal and all members
+        # distinct, so no bound drops a member and each row is computed once
+        rows.clear()
+        orbit = np.array(list(itertools.permutations(range(0, 60, 10))))
+        image = image_from(orbit.reshape(24, 30, 6))
+        medoid_signature(image, np.arange(720))
+        assert sorted(rows) == list(range(720))
 
     def test_empty_pixel_list(self):
         image = image_from(np.zeros((1, 1, 1)))
@@ -571,13 +586,46 @@ def medoid_members(draw):
 # bound only equals the best sum drops member 0 before it is computed
 @example((MultibandImage(data=np.array([[[3], [2], [0], [3], [3], [2]]], dtype=np.uint8), depth=8), 3))
 def test_bounded_medoid_matches_bruteforce(case):
-    # bound every segment, in blocks of a few rows, so that the bounded
-    # batches, the stop on a low yield and the dense tail all run
+    # bound every segment in batches of a few rows, so that several batches,
+    # copied duplicates, the dense rest and ties all run
     image, block_rows = case
     m = image.width
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(segments, "_PRUNE_MIN_ROWS", 1)
+        mp.setattr(segments, "_BATCH_ROWS", block_rows)
         mp.setattr(segments, "_BLOCK_BYTES", 8 * m * block_rows)
         got = medoid_signature(image, np.arange(m))
     vectors = image.data[0]
     assert got.tolist() == vectors[reference.medoid_by_bruteforce(vectors)].tolist()
+
+
+@pytest.mark.parametrize("depth", (8, 16))
+@pytest.mark.parametrize("kind", ("uniform", "clustered", "extremes"))
+def test_tangent_bounds_never_exceed_row_sums(depth, kind):
+    # every bound, less its slack, is at most the target's computed sum,
+    # also for the computed rows themselves and members equal to them, where
+    # the tangent touches the sum and only the slack keeps the bound below
+    rng = np.random.default_rng(107)
+    top = (1 << depth) - 1
+    for bands in (*range(1, 13), 64, 255):
+        for _ in range(4):
+            m = int(rng.integers(2, 200 if bands <= 12 else 60))
+            if kind == "uniform":
+                vectors = rng.integers(0, top + 1, size=(m, bands))
+            elif kind == "clustered":
+                centre = rng.integers(0, top + 1, size=bands)
+                noise = rng.integers(-(top // 40), top // 40 + 1, size=(m, bands))
+                vectors = np.clip(centre + noise, 0, top)
+            else:
+                palette = rng.choice([0, top], size=(int(rng.integers(2, 6)), bands))
+                vectors = palette[rng.permutation(np.arange(m) % len(palette))]
+            vectors = vectors.astype(np.float64)
+            norms = (vectors * vectors).sum(axis=1)[:, None]
+            ones = np.ones((m, 1))
+            left = np.hstack((-2.0 * vectors, norms, ones))
+            right_t = np.hstack((vectors, ones, norms)).T
+            rows = rng.choice(m, size=int(rng.integers(1, min(m, 8) + 1)), replace=False)
+            dist, sums = segments._distance_rows(left, right_t, rows)
+            bounds = segments._tangent_bounds(
+                dist, sums, vectors, rows, np.arange(m), np.sqrt(bands) * top
+            )
+            assert (bounds <= reference.distance_sums_by_blocks(vectors)).all(), (bands, m)
