@@ -9,15 +9,18 @@ running strength. Neighbors are scanned in a fixed row-major offset order,
 all reads use the previous step's buffers, and comparisons are exact, so
 results are bit-identical for any parallel partitioning of the grid.
 
-A cell whose own state and neighbors' states did not move cannot move, so
-each step evaluates only the frontier next to the previous step's changes,
-as the active-cell variants of GrowCut (Vezhnevets & Konouchine, 2005) do.
+After a step every cell is at least as strong as each attack its neighbors
+made on it, so an attack from a cell whose strength did not move cannot
+strictly win the next step. Each step therefore pushes attacks only from
+the cells the previous step moved, as the active-cell variants of GrowCut
+(Vezhnevets & Konouchine, 2005) do.
 """
 
 from __future__ import annotations
 
 import enum
 import functools
+import itertools
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -28,11 +31,12 @@ from .errors import ContractError
 from .raster import MultibandImage
 from .seeding import SeedMap
 
-# Frontier cells per kernel call: bounds the temporaries (about 50 B per
-# cell) and is the grain of threading, so a one-chunk frontier runs on the
-# calling thread. Chosen by timing whole colonizations of 96x128 to 512x512
-# scenes at 8192 to 262144 cells per chunk.
-_CHUNK = 32768
+# Attacking cells per kernel call: bounds the temporaries (about 40 B per
+# cell) and is the grain of threading, so a step with one chunk of
+# attackers runs on the calling thread. Chosen by timing whole
+# colonizations of 256x256 to 1024x1024 scenes at 2048 to 65536 cells per
+# chunk.
+_CHUNK = 16384
 
 
 class NeighborhoodKind(enum.Enum):
@@ -73,9 +77,10 @@ class AttenuationParams:
 class AutomatonGrid:
     """Cell state buffers: uint32 labels (0 = null), float64 strengths.
 
-    ``changed`` is a bool mask of the cells that moved since the last state
-    known to be stable under the attack rule; ``None`` means unknown, and
-    the next step then evaluates every cell.
+    ``changed`` is a bool mask of the cells whose attacks the next step must
+    evaluate. Every other cell's attacks are known not to win: each of its
+    neighbors is at least as strong as the attack it would make. ``None``
+    means unknown, and the next step then lets every cell attack.
     """
 
     labels: np.ndarray
@@ -101,16 +106,26 @@ class AutomatonGrid:
         return self.labels.shape[1]
 
     def nulled(self, cells: np.ndarray) -> "AutomatonGrid":
-        """Copy of the grid with the ``cells`` mask set to null and marked changed.
+        """Copy of the grid with the ``cells`` mask set to null.
 
-        The mask joins ``changed`` rather than replacing it: a grid stopped
-        short of convergence still has a moving wavefront to evaluate.
+        A freed cell loses its strength, so its neighbors' attacks on it can
+        win again: the freed cells and their Moore ring, which holds the von
+        Neumann one, join ``changed``. They join rather than replace it: a
+        grid stopped short of convergence still has moved cells to evaluate.
         """
         labels, theta = self.labels.copy(), self.theta.copy()
         labels[cells] = 0
         theta[cells] = 0.0
-        changed = None if self.changed is None else self.changed | cells
-        return AutomatonGrid(labels=labels, theta=theta, changed=changed)
+        if self.changed is None:
+            return AutomatonGrid(labels=labels, theta=theta)
+        # the 3x3 box dilation, one axis at a time
+        rows = cells.copy()
+        rows[1:] |= cells[:-1]
+        rows[:-1] |= cells[1:]
+        ring = rows.copy()
+        ring[:, 1:] |= rows[:, :-1]
+        ring[:, :-1] |= rows[:, 1:]
+        return AutomatonGrid(labels=labels, theta=theta, changed=self.changed | ring)
 
 
 def attenuation(d, params: AttenuationParams):
@@ -119,9 +134,17 @@ def attenuation(d, params: AttenuationParams):
     ``d`` may be a scalar or an array of distances; the factor is taken
     elementwise.
     """
-    if np.any(np.asarray(d) < 0):
+    factor = np.array(d, dtype=np.float64)
+    if (factor < 0).any():
         raise ContractError("spectral distance must be >= 0")
-    return np.maximum(params.epsilon, 1.0 - d / params.d_max)
+    return _attenuate(factor, params)[()]  # a 0-d result becomes a scalar
+
+
+def _attenuate(d, params: AttenuationParams):
+    """The attack factor of the float64 distances ``d``, computed in place."""
+    d /= params.d_max
+    np.subtract(1.0, d, out=d)
+    return np.maximum(params.epsilon, d, out=d)
 
 
 def init_from_seeds(width: int, height: int, seeds: SeedMap) -> AutomatonGrid:
@@ -157,9 +180,21 @@ def neighbor_weights(
     where that neighbor falls outside the grid, which silences the attack
     because strengths are non-negative and comparisons are strict. The
     planes depend only on the image, so one set serves a whole run.
+
+    Squared distances are summed over band-major integer planes. Samples
+    are integers of at most 16 bits, so their differences fit int32 and a
+    sum is at most bands·(2^depth − 1)²: int32 holds it below 2³¹ (8-bit
+    data under about 33 000 bands), int64 otherwise. Below 2⁵³ (16-bit
+    data under about 2·10⁶ bands) float64 holds every partial sum exactly
+    too, so the correctly rounded square root equals that of a float64 sum
+    in any order bit for bit. The mirrored half of the offsets copies the
+    computed half, so the attack from q on p weighs exactly what the attack
+    from p on q does.
     """
-    data = image.data.astype(np.float64)
-    h, w, n = data.shape
+    h, w, n = image.data.shape
+    top = image.max_level
+    kind = np.int32 if n * top * top < 2**31 else np.int64
+    data = image.data.transpose(2, 0, 1).astype(np.int32, order="C")
     planes = {}
     for dr, dc in nb.offsets():
         r0, r1 = max(0, -dr), h - max(0, dr)
@@ -167,42 +202,41 @@ def neighbor_weights(
         plane = np.zeros((h, w), dtype=np.float64)
         mirror = planes.get((-dr, -dc))
         if mirror is not None:
-            # (x - y)**2 == (y - x)**2 bit for bit, so the attack from q on
-            # p weighs exactly what the attack from p on q does
             plane[r0:r1, c0:c1] = mirror[r0 + dr : r1 + dr, c0 + dc : c1 + dc]
         else:
-            cell = data[r0:r1, c0:c1]
-            neigh = data[r0 + dr : r1 + dr, c0 + dc : c1 + dc]
-            sq = np.zeros(cell.shape[:2], dtype=np.float64)
-            for b in range(n):  # fixed band order keeps sums bit-reproducible
-                diff = cell[:, :, b] - neigh[:, :, b]
-                sq += diff * diff
-            plane[r0:r1, c0:c1] = attenuation(np.sqrt(sq), params)
+            cell = data[:, r0:r1, c0:c1]
+            neigh = data[:, r0 + dr : r1 + dr, c0 + dc : c1 + dc]
+            sq = np.zeros((r1 - r0, c1 - c0), dtype=kind)
+            diff = np.empty_like(sq)
+            for b in range(n):
+                np.subtract(cell[b], neigh[b], out=diff)
+                np.multiply(diff, diff, out=diff)
+                sq += diff
+            plane[r0:r1, c0:c1] = _attenuate(np.sqrt(sq, dtype=np.float64), params)
         planes[dr, dc] = plane
     return [(dr, dc, plane) for (dr, dc), plane in planes.items()]
 
 
-def _attack(weights, labels, theta, idx, new_labels, new_theta):
-    """Apply the attack rule to the flat cells ``idx``; returns those that moved.
+def _attack(off, plane, cells, labels, theta, new_labels, new_theta):
+    """Push the attacks of the flat ``cells`` on their neighbors ``cells - off``.
 
-    ``weights`` holds (flat offset, flat plane) pairs. An offset that leaves
-    the grid, clipped at its ends or wrapped into the next row, lands where
-    the plane is 0, so that attack is +0.0 and never wins. Taking the
-    running maximum gives the same strengths as strict replacement, and the
-    last strict win is the first neighbor to reach the maximum, so the
-    labels match the sequential scan too.
+    ``plane`` is the flat plane of the mirrored offset −off, so
+    ``plane[p]`` weighs the attack of p on q = p − off: every index is in
+    range. Where q leaves the grid, past its ends or wrapped into the next
+    row, that weight is 0, so the attack is +0.0 and never wins.
+    ``labels`` and ``theta`` are the attackers' old states. Targets are
+    distinct, so writing each strict win keeps the running maximum and the
+    last strict win in ``new_theta`` and ``new_labels``, as the sequential
+    scan does. Returns the targets won.
     """
-    old = theta[idx]
-    cur = old.copy()
-    src = np.zeros(idx.size, dtype=np.int64)
-    for off, plane in weights:
-        att = plane.take(idx) * theta.take(idx + off, mode="clip")
-        src[att > cur] = off
-        np.maximum(cur, att, out=cur)
-    moved = cur > old  # every win raises the strength strictly
-    hit = idx[moved]
-    new_theta[hit] = cur[moved]
-    new_labels[hit] = labels[hit + src[moved]]
+    target = cells - off
+    att = plane.take(cells)
+    att *= theta
+    # wrapping reads an in-range cell, and is faster than clipping
+    win = (att > new_theta.take(target, mode="wrap")).nonzero()[0]
+    hit = target.take(win)
+    new_theta[hit] = att.take(win)
+    new_labels[hit] = labels.take(win)
     return hit
 
 
@@ -212,47 +246,46 @@ def _pool(workers):
     return ThreadPoolExecutor(max_workers=workers)
 
 
-def _frontier(changed, weights):
-    """Flat indices of the cells within one neighbor offset of a changed cell."""
-    h, w = changed.shape
-    front = changed.copy()
-    for dr, dc, _ in weights:
-        r0, r1 = max(0, -dr), h - max(0, dr)
-        c0, c1 = max(0, -dc), w - max(0, dc)
-        front[r0:r1, c0:c1] |= changed[r0 + dr : r1 + dr, c0 + dc : c1 + dc]
-    return np.flatnonzero(front)
-
-
 def evolve_step(grid: AutomatonGrid, weights, threads: int = 1):
     """One synchronous evolution step; returns (grid at t+1, whether any cell moved).
 
     ``weights`` are the planes from :func:`neighbor_weights`. Only the
-    frontier is evaluated: a cell whose own state and neighbors' states did
-    not move cannot move, so cells outside one neighbor offset of
-    ``grid.changed`` keep their state (every cell when it is ``None``). The
-    frontier is cut into chunks of ``_CHUNK`` cells, which run on up to
-    ``threads`` workers; the result is independent of both.
+    cells in ``grid.changed`` attack (every cell when it is ``None``): an
+    attack from any other cell is no stronger than its target, so it cannot
+    strictly win. The offsets are taken in their fixed order; for each, the
+    attackers are cut into chunks of ``_CHUNK`` cells, which run on up to
+    ``threads`` workers and hit disjoint targets. The result is independent
+    of both. The new grid's ``changed`` holds the cells that moved, the
+    only ones whose attacks can win the next step.
     """
     if threads < 1:
         raise ContractError("threads must be >= 1")
     if any(plane.shape != grid.labels.shape for _, _, plane in weights):
         raise ContractError("grid and weight plane dimensions do not match")
+    planes = {(dr, dc): plane.ravel() for dr, dc, plane in weights}
+    if any((-dr, -dc) not in planes for dr, dc in planes):
+        raise ContractError("weight planes must come in mirrored pairs")
 
     h, w = grid.height, grid.width
-    if grid.changed is None:
-        idx = np.arange(h * w, dtype=np.int64)
-    else:
-        idx = _frontier(grid.changed, weights)
-    flat = [(dr * w + dc, plane.ravel()) for dr, dc, plane in weights]
     labels, theta = grid.labels.ravel(), grid.theta.ravel()
+    if grid.changed is None:
+        cells = np.arange(h * w, dtype=np.int64)
+    else:
+        cells = np.flatnonzero(grid.changed)
+    old_labels, old_theta = labels.take(cells), theta.take(cells)
     new_labels, new_theta = labels.copy(), theta.copy()
-    chunks = [idx[i : i + _CHUNK] for i in range(0, idx.size, _CHUNK)]
-
-    def run(chunk):
-        return _attack(flat, labels, theta, chunk, new_labels, new_theta)
-
+    chunks = [slice(i, i + _CHUNK) for i in range(0, cells.size, _CHUNK)]
     workers = min(threads, len(chunks))
-    hits = list(_pool(workers).map(run, chunks) if workers > 1 else map(run, chunks))
+
+    def run(part, off, plane):
+        return _attack(
+            off, plane, cells[part], old_labels[part], old_theta[part], new_labels, new_theta
+        )
+
+    hits = []
+    for dr, dc, _ in weights:
+        jobs = (chunks, itertools.repeat(dr * w + dc), itertools.repeat(planes[-dr, -dc]))
+        hits.extend(_pool(workers).map(run, *jobs) if workers > 1 else map(run, *jobs))
     changed = np.zeros(h * w, dtype=bool)
     for hit in hits:
         changed[hit] = True

@@ -77,7 +77,8 @@ def _add_intake_flags(parser):
                         help="evolution cap (default: 10 * (width + height))")
     parser.add_argument("--max-rounds", type=int, default=_DEFAULT["max_rounds"])
     parser.add_argument("--threads", type=int, default=_DEFAULT["threads"],
-                        help="workers over chunks of frontier cells; output identical for any value")
+                        help="workers over chunks of each step's attacking cells; "
+                        "output identical for any value")
     parser.add_argument("--strict", action="store_true",
                         help="exit nonzero if the automaton hits the iteration cap")
     parser.add_argument("--out-labels", required=True, help="output label raster path")

@@ -12,7 +12,7 @@ Supported containers:
   as the preview output format.
 * Label rasters: ``<path>`` holds row-major little-endian uint32 ids
   (0 = unlabeled) and ``<path>.json`` is a sidecar carrying ``width``,
-  ``height`` and ``label_count``.
+  ``height`` and ``label_count`` as JSON integers.
 
 Loading is strict: any size mismatch between a header and its payload is
 rejected rather than repaired.
@@ -141,6 +141,15 @@ def _header_int(fields, key):
         raise FormatError(f"ENVI header key '{key}' is not an integer: {fields[key]!r}")
 
 
+def _read_utf8(path, what):
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{what} is not valid UTF-8: {exc}")
+
+
 def load_envi_bsq(path) -> MultibandImage:
     """Load a band-sequential raster from its header/payload pair."""
     header_path, data_path = _envi_paths(path)
@@ -148,8 +157,7 @@ def load_envi_bsq(path) -> MultibandImage:
         raise FormatError(f"ENVI header not found: {header_path}")
     if not os.path.exists(data_path):
         raise FormatError(f"ENVI payload not found: {data_path}")
-    with open(header_path, "r", encoding="utf-8") as fh:
-        fields = _parse_envi_header(fh.read())
+    fields = _parse_envi_header(_read_utf8(header_path, "ENVI header"))
 
     samples = _header_int(fields, "samples")
     lines = _header_int(fields, "lines")
@@ -305,20 +313,27 @@ def save_label_raster(raster: LabelRaster, path, label_count: int | None = None)
         fh.write("\n")
 
 
+def _sidecar_int(sidecar, key):
+    if key not in sidecar:
+        raise FormatError(f"label raster sidecar missing required key '{key}'")
+    value = sidecar[key]
+    # a JSON true or false would pass as an int, and 2.9 or "2" would convert
+    if type(value) is not int:
+        raise FormatError(f"label raster sidecar key '{key}' is not an integer: {value!r}")
+    return value
+
+
 def load_label_raster(path) -> LabelRaster:
     sidecar_path = path + ".json"
     if not os.path.exists(sidecar_path):
         raise FormatError(f"label raster sidecar not found: {sidecar_path}")
-    with open(sidecar_path, "r", encoding="utf-8") as fh:
-        try:
-            sidecar = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise FormatError(f"invalid label raster sidecar: {exc}")
     try:
-        width = int(sidecar["width"])
-        height = int(sidecar["height"])
-    except (KeyError, TypeError, ValueError):
-        raise FormatError("label raster sidecar must carry integer width/height")
+        sidecar = json.loads(_read_utf8(sidecar_path, "label raster sidecar"))
+    except json.JSONDecodeError as exc:
+        raise FormatError(f"invalid label raster sidecar: {exc}")
+    if not isinstance(sidecar, dict):
+        raise FormatError("label raster sidecar must be a JSON object")
+    width, height = (_sidecar_int(sidecar, key) for key in ("width", "height"))
     if width < 1 or height < 1:
         raise FormatError("label raster dimensions must be >= 1")
     with open(path, "rb") as fh:

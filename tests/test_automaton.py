@@ -2,6 +2,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import reference
 from ca_segment import automaton
@@ -136,14 +138,21 @@ class TestAutomatonGrid:
         with pytest.raises(ContractError):
             AutomatonGrid(labels=labels, theta=theta, changed=np.zeros((2, 3), dtype=np.uint8))
 
-    def test_nulled_joins_the_changed_mask(self):
-        grid = init_from_seeds(3, 1, seed_map([(0, 1), (2, 2)]))
-        freed = np.array([[False, False, True]])
+    def test_nulled_joins_the_freed_cells_and_their_ring(self):
+        # the freed cells and their Moore ring join the seed already marked
+        grid = init_from_seeds(6, 4, seed_map([(5, 1), (9, 2), (23, 3)]))
+        freed = np.zeros((4, 6), dtype=bool)
+        freed[1, 3] = freed[3, 5] = True
         out = grid.nulled(freed)
-        assert out.labels.tolist() == [[1, 0, 0]]
-        assert out.theta.tolist() == [[1.0, 0.0, 0.0]]
-        assert out.changed.tolist() == [[True, False, True]]
-        assert grid.labels.tolist() == [[1, 0, 2]]
+        assert out.labels.ravel().tolist() == [0] * 5 + [1] + [0] * 18
+        assert (out.theta == (out.labels != 0)).all()
+        assert out.changed.astype(int).tolist() == [
+            [0, 0, 1, 1, 1, 1],
+            [0, 0, 1, 1, 1, 0],
+            [0, 0, 1, 1, 1, 1],
+            [0, 0, 0, 0, 1, 1],
+        ]
+        assert grid.labels.ravel()[[5, 9, 23]].tolist() == [1, 2, 3]
         unknown = AutomatonGrid(labels=grid.labels, theta=grid.theta).nulled(freed)
         assert unknown.changed is None
 
@@ -247,40 +256,46 @@ class TestEvolveStep:
             sys.setswitchinterval(interval)
 
     @pytest.mark.parametrize("nb", list(NeighborhoodKind))
-    def test_step_evaluates_only_the_frontier(self, monkeypatch, nb):
-        evaluated = []
+    def test_only_the_changed_cells_attack(self, monkeypatch, nb):
+        # every step makes len(offsets) passes, one per offset in order, and
+        # each pass's chunks together hold exactly the cells marked changed
+        passes = []
         kernel = automaton._attack
 
-        def spy(weights, labels, theta, idx, *buffers):
-            evaluated.extend(idx.tolist())
-            return kernel(weights, labels, theta, idx, *buffers)
+        def spy(off, plane, cells, *rest):
+            # a new pass starts with a new plane: flat offsets can repeat
+            if not passes or passes[-1][1] is not plane:
+                passes.append((off, plane, []))
+            passes[-1][2].extend(cells.tolist())
+            return kernel(off, plane, cells, *rest)
 
         monkeypatch.setattr(automaton, "_attack", spy)
-        image = image_from(np.full((7, 7, 1), 10))
+        monkeypatch.setattr(automaton, "_CHUNK", 7)
+        rng = np.random.default_rng(71)
+        image, seeds = random_setup(rng, max_side=12)
         weights = weights_for(image, nb)
-        center = 3 * 7 + 3
-
-        def block(cells):
-            return sorted({p + dr * 7 + dc for p in cells for dr, dc in ((0, 0),) + nb.offsets()})
-
-        # one seed has moved from the all-null fixpoint: 9 (Moore) or 5
-        # (von Neumann) cells are evaluated, and its neighbors move
-        grid = init_from_seeds(7, 7, seed_map([(center, 1)]))
-        grid, changed = evolve_step(grid, weights)
-        assert changed
-        assert sorted(evaluated) == block([center])
-        assert len(evaluated) == 1 + len(nb.offsets())
-        moved = sorted(center + dr * 7 + dc for dr, dc in nb.offsets())
-        assert np.flatnonzero(grid.changed).tolist() == moved
-
-        evaluated.clear()
-        grid, _ = evolve_step(grid, weights)
-        assert sorted(evaluated) == block(moved)
-
-        # an unknown history means every cell is evaluated
-        evaluated.clear()
-        evolve_step(AutomatonGrid(labels=grid.labels, theta=grid.theta), weights)
-        assert sorted(evaluated) == list(range(49))
+        w = image.width
+        grid = init_from_seeds(w, image.height, seeds)
+        offsets = [dr * w + dc for dr, dc in nb.offsets()]
+        sizes = []
+        for step in range(image.width + image.height + 1):
+            if step == 3:
+                # an unknown history means every cell attacks
+                grid = AutomatonGrid(labels=grid.labels, theta=grid.theta)
+                attackers = list(range(grid.labels.size))
+            else:
+                attackers = np.flatnonzero(grid.changed).tolist()
+            if step == 0:
+                assert attackers == sorted(seeds.pixel_indices.tolist())
+            passes.clear()
+            grid, changed = evolve_step(grid, weights)
+            sizes.append(len(attackers))
+            assert [off for off, _, _ in passes] == (offsets if attackers else [])
+            assert all(cells == attackers for _, _, cells in passes)
+            if not changed:
+                break
+        assert not changed
+        assert max(sizes) > automaton._CHUNK
 
     @pytest.mark.parametrize("threads", [0, -3])
     def test_thread_count_below_one_rejected(self, threads):
@@ -299,6 +314,34 @@ class TestEvolveStep:
         grid = init_from_seeds(3, 1, seed_map([(0, 1), (2, 2)]))
         grid, _ = evolve_step(grid, weights_for(image))
         assert grid.labels[0, 1] == 1
+
+
+grid_cases = st.tuples(
+    st.integers(0, 2**32 - 1), st.sampled_from(list(NeighborhoodKind)), st.integers(0, 8)
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(grid_cases)
+def test_nulled_grid_runs_as_from_an_unknown_history(case):
+    # from a grid converged (or stopped after 1-8 steps), nulling a random
+    # mask and evolving from the marked cells ends, bit for bit and in as
+    # many steps, where evolving with every cell attacking ends
+    seed, nb, stop = case
+    rng = np.random.default_rng(seed)
+    image, seeds = random_setup(rng, max_side=14)
+    weights = weights_for(image, nb)
+    grid = init_from_seeds(image.width, image.height, seeds)
+    grid, _, _ = run_to_convergence(grid, weights, max_iters=stop or 1000)
+    freed = rng.random(grid.labels.shape) < rng.uniform(0.05, 0.6)
+    marked = grid.nulled(freed)
+    unknown = AutomatonGrid(labels=grid.labels, theta=grid.theta).nulled(freed)
+    runs = [run_to_convergence(start, weights, max_iters=1000) for start in (marked, unknown)]
+    (got, got_steps, got_conv), (want, want_steps, want_conv) = runs
+    assert got_conv and want_conv
+    assert got_steps == want_steps
+    assert (got.labels == want.labels).all()
+    assert (got.theta == want.theta).all()
 
 
 class TestRunToConvergence:

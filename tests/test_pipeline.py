@@ -254,6 +254,15 @@ class TestCli:
         assert code == 2
         assert "error" in capsys.readouterr().err
 
+    def test_header_not_utf8_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "img.bsq"
+        path.write_bytes(b"\x00" * 16)
+        (tmp_path / "img.bsq.hdr").write_bytes(b"ENVI\n\xff\xfe = 3\n")
+        assert main(self.segment_args(tmp_path, str(path))) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("ca-segment: error:")
+        assert "not valid UTF-8" in err[0]
+
     def test_contract_violation_exits_2(self, tmp_path, capsys):
         path = write_envi(tmp_path / "img.bsq", two_region_data(h=16, w=16))
         code = main(self.segment_args(tmp_path, path, "--min-area", "150"))

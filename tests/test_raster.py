@@ -151,6 +151,22 @@ class TestEnviBsq:
         with pytest.raises(UnsupportedFormatError):
             load_image(path)
 
+    def test_header_not_utf8_rejected(self, tmp_path):
+        path = str(tmp_path / "cube")
+        with open(path, "wb") as fh:
+            fh.write(b"\x00" * 16)
+        with open(path + ".hdr", "wb") as fh:
+            fh.write(b"ENVI\n\xff\xfe = 3\n")
+        with pytest.raises(FormatError, match="ENVI header is not valid UTF-8"):
+            load_image(path)
+
+
+def write_label_raster(path, sidecar, payload=b"\x00" * 16):
+    with open(path, "wb") as fh:
+        fh.write(payload)
+    with open(path + ".json", "wb") as fh:
+        fh.write(sidecar)
+
 
 class TestLabelRaster:
     def test_little_endian_payload(self, tmp_path):
@@ -184,6 +200,31 @@ class TestLabelRaster:
         with open(path, "ab") as fh:
             fh.write(b"\x00")
         with pytest.raises(FormatError):
+            load_label_raster(path)
+
+    @pytest.mark.parametrize("value", ["2.9", "2.0", '"2"', "true", "null", "[2]"])
+    def test_sidecar_dimensions_must_be_json_integers(self, tmp_path, value):
+        # a 16-byte payload fits 2 x 2, so only the type check can reject
+        path = str(tmp_path / "out.labels")
+        write_label_raster(path, b'{"width": %s, "height": 2}' % value.encode())
+        with pytest.raises(FormatError, match="'width' is not an integer"):
+            load_label_raster(path)
+        write_label_raster(path, b'{"width": 2, "height": %s}' % value.encode())
+        with pytest.raises(FormatError, match="'height' is not an integer"):
+            load_label_raster(path)
+        write_label_raster(path, b'{"width": 2, "height": 2}')
+        assert load_label_raster(path).labels.shape == (2, 2)
+
+    @pytest.mark.parametrize("sidecar, message", [
+        (b'{"height": 2}', "missing required key 'width'"),
+        (b"[2, 2]", "must be a JSON object"),
+        (b'{"width": 2, "height": 2', "invalid label raster sidecar"),
+        (b'{"width": 2, "height": 2, "\xff\xfe": 3}', "sidecar is not valid UTF-8"),
+    ])
+    def test_malformed_sidecar_rejected(self, tmp_path, sidecar, message):
+        path = str(tmp_path / "out.labels")
+        write_label_raster(path, sidecar)
+        with pytest.raises(FormatError, match=message):
             load_label_raster(path)
 
     def test_missing_sidecar_rejected(self, tmp_path):
