@@ -4,10 +4,8 @@ colonization, scale-aware small-segment elimination and medoid spectral
 signatures."""
 
 from .automaton import (
-    AttenuationParams,
     AutomatonGrid,
     NeighborhoodKind,
-    attenuation,
     evolve_step,
     init_from_seeds,
     neighbor_weights,
@@ -48,7 +46,6 @@ from .segments import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AttenuationParams",
     "AutomatonGrid",
     "BALANCED",
     "ContractError",
@@ -64,7 +61,6 @@ __all__ = [
     "SegmenterError",
     "SumRange",
     "UnsupportedFormatError",
-    "attenuation",
     "classify_spectral_region",
     "compute_sum_histogram",
     "eliminate_oversegmentation",

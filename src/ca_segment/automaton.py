@@ -21,7 +21,6 @@ from __future__ import annotations
 import enum
 import functools
 import itertools
-import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -50,37 +49,14 @@ class NeighborhoodKind(enum.Enum):
         return ((-1, 0), (0, -1), (0, 1), (1, 0))
 
 
-@dataclass(frozen=True)
-class AttenuationParams:
-    """Linear attack decay: factor 1 at distance 0, floored at epsilon.
-
-    ``d_max`` is the largest possible spectral distance for the image,
-    (2**depth - 1) * sqrt(bands); the strictly positive ``epsilon`` floor
-    keeps every attack alive so colonization always completes.
-    """
-
-    d_max: float
-    epsilon: float = 1e-6
-
-    def __post_init__(self):
-        if not self.d_max > 0:
-            raise ContractError("d_max must be positive")
-        if not 0 < self.epsilon < 1:
-            raise ContractError("epsilon must lie strictly between 0 and 1")
-
-    @classmethod
-    def for_image(cls, image: MultibandImage, epsilon: float = 1e-6) -> "AttenuationParams":
-        return cls(d_max=image.max_level * math.sqrt(image.bands), epsilon=epsilon)
-
-
 @dataclass
 class AutomatonGrid:
     """Cell state buffers: uint32 labels (0 = null), float64 strengths.
 
     ``changed`` is a bool mask of the cells whose attacks the next step must
     evaluate. Every other cell's attacks are known not to win: each of its
-    neighbors is at least as strong as the attack it would make. ``None``
-    means unknown, and the next step then lets every cell attack.
+    neighbors is at least as strong as the attack it would make. A grid
+    built without one knows nothing of its history, so every cell is marked.
     """
 
     labels: np.ndarray
@@ -92,9 +68,9 @@ class AutomatonGrid:
             raise ContractError("label and strength buffers must share a 2-D shape")
         if self.labels.dtype != np.uint32 or self.theta.dtype != np.float64:
             raise ContractError("grid buffers must be uint32 labels and float64 theta")
-        if self.changed is not None and (
-            self.changed.shape != self.labels.shape or self.changed.dtype != np.bool_
-        ):
+        if self.changed is None:
+            self.changed = np.ones(self.labels.shape, dtype=bool)
+        elif self.changed.shape != self.labels.shape or self.changed.dtype != np.bool_:
             raise ContractError("changed must be a bool mask of the grid's shape")
 
     @property
@@ -116,8 +92,6 @@ class AutomatonGrid:
         labels, theta = self.labels.copy(), self.theta.copy()
         labels[cells] = 0
         theta[cells] = 0.0
-        if self.changed is None:
-            return AutomatonGrid(labels=labels, theta=theta)
         # the 3x3 box dilation, one axis at a time
         rows = cells.copy()
         rows[1:] |= cells[:-1]
@@ -126,25 +100,6 @@ class AutomatonGrid:
         ring[:, 1:] |= rows[:, :-1]
         ring[:, :-1] |= rows[:, 1:]
         return AutomatonGrid(labels=labels, theta=theta, changed=self.changed | ring)
-
-
-def attenuation(d, params: AttenuationParams):
-    """Attack factor for spectral distance ``d``: max(epsilon, 1 - d/d_max).
-
-    ``d`` may be a scalar or an array of distances; the factor is taken
-    elementwise.
-    """
-    factor = np.array(d, dtype=np.float64)
-    if (factor < 0).any():
-        raise ContractError("spectral distance must be >= 0")
-    return _attenuate(factor, params)[()]  # a 0-d result becomes a scalar
-
-
-def _attenuate(d, params: AttenuationParams):
-    """The attack factor of the float64 distances ``d``, computed in place."""
-    d /= params.d_max
-    np.subtract(1.0, d, out=d)
-    return np.maximum(params.epsilon, d, out=d)
 
 
 def init_from_seeds(width: int, height: int, seeds: SeedMap) -> AutomatonGrid:
@@ -170,16 +125,17 @@ def init_from_seeds(width: int, height: int, seeds: SeedMap) -> AutomatonGrid:
     )
 
 
-def neighbor_weights(
-    image: MultibandImage, nb: NeighborhoodKind, params: AttenuationParams
-):
+def neighbor_weights(image: MultibandImage, nb: NeighborhoodKind, epsilon: float):
     """Precompute per-offset attack attenuation between every cell pair.
 
     For each neighbor offset the returned plane holds, at cell (r, c), the
-    attenuation of an attack arriving from (r + dr, c + dc); it is zero
-    where that neighbor falls outside the grid, which silences the attack
-    because strengths are non-negative and comparisons are strict. The
-    planes depend only on the image, so one set serves a whole run.
+    factor max(ε, 1 − d/D) of an attack arriving from (r + dr, c + dc),
+    where d is the spectral distance between the two pixels and D is
+    ``image.max_distance``. The floor ``epsilon``, strictly between 0 and
+    1, keeps every attack alive so colonization always completes. A plane
+    is zero where the neighbor falls outside the grid, which silences the
+    attack because strengths are non-negative and comparisons are strict.
+    The planes depend only on the image, so one set serves a whole run.
 
     Squared distances are summed over band-major integer planes. Samples
     are integers of at most 16 bits, so their differences fit int32 and a
@@ -191,6 +147,8 @@ def neighbor_weights(
     computed half, so the attack from q on p weighs exactly what the attack
     from p on q does.
     """
+    if not 0 < epsilon < 1:
+        raise ContractError("epsilon must lie strictly between 0 and 1")
     h, w, n = image.data.shape
     top = image.max_level
     kind = np.int32 if n * top * top < 2**31 else np.int64
@@ -212,7 +170,10 @@ def neighbor_weights(
                 np.subtract(cell[b], neigh[b], out=diff)
                 np.multiply(diff, diff, out=diff)
                 sq += diff
-            plane[r0:r1, c0:c1] = _attenuate(np.sqrt(sq, dtype=np.float64), params)
+            d = np.sqrt(sq, dtype=np.float64)
+            d /= image.max_distance
+            np.subtract(1.0, d, out=d)
+            plane[r0:r1, c0:c1] = np.maximum(epsilon, d, out=d)
         planes[dr, dc] = plane
     return [(dr, dc, plane) for (dr, dc), plane in planes.items()]
 
@@ -250,13 +211,13 @@ def evolve_step(grid: AutomatonGrid, weights, threads: int = 1):
     """One synchronous evolution step; returns (grid at t+1, whether any cell moved).
 
     ``weights`` are the planes from :func:`neighbor_weights`. Only the
-    cells in ``grid.changed`` attack (every cell when it is ``None``): an
-    attack from any other cell is no stronger than its target, so it cannot
-    strictly win. The offsets are taken in their fixed order; for each, the
-    attackers are cut into chunks of ``_CHUNK`` cells, which run on up to
-    ``threads`` workers and hit disjoint targets. The result is independent
-    of both. The new grid's ``changed`` holds the cells that moved, the
-    only ones whose attacks can win the next step.
+    cells in ``grid.changed`` attack: an attack from any other cell is no
+    stronger than its target, so it cannot strictly win. The offsets are
+    taken in their fixed order; for each, the attackers are cut into chunks
+    of ``_CHUNK`` cells, which run on up to ``threads`` workers and hit
+    disjoint targets. The result is independent of both. The new grid's
+    ``changed`` holds the cells that moved, the only ones whose attacks can
+    win the next step.
     """
     if threads < 1:
         raise ContractError("threads must be >= 1")
@@ -268,10 +229,7 @@ def evolve_step(grid: AutomatonGrid, weights, threads: int = 1):
 
     h, w = grid.height, grid.width
     labels, theta = grid.labels.ravel(), grid.theta.ravel()
-    if grid.changed is None:
-        cells = np.arange(h * w, dtype=np.int64)
-    else:
-        cells = np.flatnonzero(grid.changed)
+    cells = np.flatnonzero(grid.changed)
     old_labels, old_theta = labels.take(cells), theta.take(cells)
     new_labels, new_theta = labels.copy(), theta.copy()
     chunks = [slice(i, i + _CHUNK) for i in range(0, cells.size, _CHUNK)]

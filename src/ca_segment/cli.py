@@ -2,7 +2,8 @@
 
 Subcommands: ``segment`` (full pipeline), ``seeds`` (stop after seeding),
 ``stats`` (recompute segment statistics from a saved label raster).
-Exit codes: 0 success, 1 usage error, 2 data or contract error.
+Exit codes: 0 success, 1 usage error, 2 data or contract error, or a
+``segment --strict`` run that left its contract unmet.
 """
 
 from __future__ import annotations
@@ -80,7 +81,8 @@ def _add_intake_flags(parser):
                         help="workers over chunks of each step's attacking cells; "
                         "output identical for any value")
     parser.add_argument("--strict", action="store_true",
-                        help="exit nonzero if the automaton hits the iteration cap")
+                        help="exit 2 if the automaton hits the iteration cap or null "
+                        "cells or segments below --min-area remain")
     parser.add_argument("--out-labels", required=True, help="output label raster path")
     parser.add_argument("--out-stats", required=True, help="output stats JSON path")
 
@@ -121,6 +123,23 @@ def _config_from_args(args) -> PipelineConfig:
     return PipelineConfig(**values)
 
 
+def _unmet(report, min_area) -> list[str]:
+    """One line for each part of its contract a segment run left unmet."""
+    problems = []
+    if not report.converged:
+        problems.append(
+            f"automaton hit the iteration cap after "
+            f"{report.steps_to_convergence} steps without converging"
+        )
+    null = report.width * report.height - sum(row["pixels"] for row in report.labels)
+    if null:
+        problems.append(f"{null} null cells remain")
+    small = sum(1 for seg in report.segments if seg["area"] < min_area)
+    if small:
+        problems.append(f"{small} segment(s) below --min-area {min_area} remain")
+    return problems
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
@@ -130,14 +149,11 @@ def main(argv=None) -> int:
     try:
         if args.command == "segment":
             report = run_segment(_config_from_args(args))
-            if not report.converged:
-                print(
-                    f"warning: automaton hit the iteration cap after "
-                    f"{report.steps_to_convergence} steps without converging",
-                    file=sys.stderr,
-                )
-                if args.strict:
-                    return 2
+            unmet = _unmet(report, args.min_area)
+            for problem in unmet:
+                print(f"warning: {problem}", file=sys.stderr)
+            if unmet and args.strict:
+                return 2
             print(
                 f"{report.seed_count} seeds ({report.seed_fraction:.1%}), "
                 f"{report.label_count} labels, {report.steps_to_convergence} steps, "

@@ -15,13 +15,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import raster, seeding, segments as segmod
-from .automaton import (
-    AttenuationParams,
-    NeighborhoodKind,
-    init_from_seeds,
-    neighbor_weights,
-    run_to_convergence,
-)
+from .automaton import NeighborhoodKind, init_from_seeds, neighbor_weights, run_to_convergence
 from .errors import ContractError
 from .raster import LabelRaster, MultibandImage
 
@@ -62,6 +56,8 @@ class PipelineConfig:
             raise ContractError("max_rounds must be >= 1")
         if self.max_iters is not None and self.max_iters < 1:
             raise ContractError("max_iters must be >= 1")
+        if not 0 < self.epsilon < 1:
+            raise ContractError("epsilon must lie strictly between 0 and 1")
 
 
 @dataclass
@@ -108,7 +104,8 @@ def _phase(times, name):
         times[name] = times.get(name, 0.0) + (time.perf_counter() - start)
 
 
-def _load_input(config: PipelineConfig) -> MultibandImage:
+def _load_input(config: PipelineConfig):
+    """The image, cut to ``config.bands``, and the bands its preview renders."""
     image = raster.load_image(config.input_path, config.format)
     if config.bands is not None:
         subset = list(config.bands)
@@ -121,14 +118,24 @@ def _load_input(config: PipelineConfig) -> MultibandImage:
         image = MultibandImage(
             data=np.ascontiguousarray(image.data[:, :, subset]), depth=image.depth
         )
-    return image
+    preview = config.preview_bands
+    if preview is None:
+        preview = (0, 1, 2) if image.bands >= 3 else (0, 0, 0)
+    if any(b < 0 or b >= image.bands for b in preview):
+        raise ContractError(
+            f"preview bands {tuple(preview)} out of range for {image.bands} bands"
+        )
+    return image, preview
 
 
 def _load_and_seed(config, times):
-    """Validate the config, load the image and build its ranges and seeds."""
+    """Validate the config, load the image and build its ranges and seeds.
+
+    Returns (image, preview band triple, ranges, seeds).
+    """
     config.validate()
     with _phase(times, "load"):
-        image = _load_input(config)
+        image, preview = _load_input(config)
     with _phase(times, "histogram"):
         hist = seeding.compute_sum_histogram(image)
     with _phase(times, "ranges"):
@@ -153,7 +160,7 @@ def _load_and_seed(config, times):
             f"min_separation={config.min_separation}, half_width={config.half_width}, "
             f"max_peaks={config.max_peaks}, stride={config.stride})"
         )
-    return image, ranges, seeds
+    return image, preview, ranges, seeds
 
 
 def _report(config, image, ranges, seeds, times, **fields) -> RunReport:
@@ -204,7 +211,7 @@ def _label_summary(seeds: seeding.SeedMap, final_labels=None) -> dict:
 def run_seeds(config: PipelineConfig) -> RunReport:
     """Histogram, range and seed construction only; writes the seed raster."""
     times = {}
-    image, ranges, seeds = _load_and_seed(config, times)
+    image, _, ranges, seeds = _load_and_seed(config, times)
 
     grid = init_from_seeds(image.width, image.height, seeds)
     summary = _label_summary(seeds)
@@ -224,15 +231,14 @@ def run_seeds(config: PipelineConfig) -> RunReport:
 def run_segment(config: PipelineConfig) -> RunReport:
     """The full pipeline: seed, converge, enforce the study scale, sign."""
     times = {}
-    image, ranges, seeds = _load_and_seed(config, times)
+    image, preview, ranges, seeds = _load_and_seed(config, times)
 
-    params = AttenuationParams.for_image(image, epsilon=config.epsilon)
     max_iters = config.max_iters
     if max_iters is None:
         max_iters = 10 * (image.width + image.height)
 
     with _phase(times, "weights"):
-        weights = neighbor_weights(image, config.neighborhood, params)
+        weights = neighbor_weights(image, config.neighborhood, config.epsilon)
     with _phase(times, "evolve"):
         grid = init_from_seeds(image.width, image.height, seeds)
         grid, steps, converged = run_to_convergence(
@@ -274,14 +280,11 @@ def run_segment(config: PipelineConfig) -> RunReport:
                 LabelRaster(labels=grid.labels), config.out_labels, summary["label_count"]
             )
         if config.out_preview:
-            triple = config.preview_bands
-            if triple is None:
-                triple = (0, 1, 2) if image.bands >= 3 else (0, 0, 0)
             raster.save_preview(
                 image,
                 LabelRaster(labels=final.seg_map),
                 {row["id"]: row["signature"] for row in seg_rows},
-                triple,
+                preview,
                 config.out_preview,
             )
 

@@ -77,6 +77,11 @@ class MultibandImage:
         """Largest representable digital level, 2**depth - 1."""
         return (1 << self.depth) - 1
 
+    @property
+    def max_distance(self) -> float:
+        """Largest spectral distance two pixels can be apart, (2**depth - 1)·√bands."""
+        return self.max_level * np.sqrt(self.bands)
+
 
 @dataclass
 class LabelRaster:

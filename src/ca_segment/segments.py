@@ -15,7 +15,7 @@ row-major, so a component's root, its smallest run, holds its first pixel.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,15 +31,18 @@ class Segment:
     id: int
     label: int
     pixels: np.ndarray
-    area: int
+
+    @property
+    def area(self) -> int:
+        return self.pixels.size
 
 
 @dataclass
 class SegmentSet:
     """Segments plus the (height, width) map from pixel to segment id (0 = none)."""
 
-    segments: list[Segment] = field(default_factory=list)
-    seg_map: np.ndarray | None = None
+    segments: list[Segment]
+    seg_map: np.ndarray
 
     def __len__(self) -> int:
         return len(self.segments)
@@ -104,14 +107,7 @@ def extract_segments(labels: LabelRaster, connectivity: NeighborhoodKind) -> Seg
     segments = []
     for sid in range(1, bounds.size):
         pixels = order[bounds[sid - 1] : bounds[sid]]
-        segments.append(
-            Segment(
-                id=sid,
-                label=int(flat_labels[pixels[0]]),
-                pixels=pixels,
-                area=int(pixels.size),
-            )
-        )
+        segments.append(Segment(id=sid, label=int(flat_labels[pixels[0]]), pixels=pixels))
     return SegmentSet(segments=segments, seg_map=seg_map)
 
 
@@ -119,7 +115,7 @@ def null_small_segments(grid: AutomatonGrid, segs: SegmentSet, min_area: int):
     """Null every segment below ``min_area``; returns (grid, cleared segment count)."""
     if min_area < 1:
         raise ContractError("min_area must be >= 1")
-    if segs.seg_map is not None and segs.seg_map.shape != grid.labels.shape:
+    if segs.seg_map.shape != grid.labels.shape:
         raise ContractError("segment set does not match the grid dimensions")
     freed = np.zeros(grid.labels.size, dtype=bool)
     cleared = 0
@@ -270,7 +266,7 @@ def medoid_signature(image: MultibandImage, pixels, sample_cap: int = 4096) -> n
     norms = np.einsum("ij,ij->i", vectors, vectors)[:, None]
     left = np.hstack((-2.0 * vectors, norms, np.ones((m, 1))))
     right_t = np.hstack((vectors, np.ones((m, 1)), norms)).T
-    max_dist = np.sqrt(image.bands) * image.max_level
+    max_dist = image.max_distance
     sums = np.full(m, np.inf)
     rest = np.arange(m)  # members neither settled nor dropped
     low = np.full(m, -np.inf)  # lower bounds on their sums

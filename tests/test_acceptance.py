@@ -13,7 +13,6 @@ import pytest
 
 import reference
 from ca_segment import (
-    AttenuationParams,
     ContractError,
     FormatError,
     LabelRaster,
@@ -36,6 +35,9 @@ from ca_segment import (
     save_label_raster,
     select_ranges,
 )
+
+
+EPSILON = 1e-6  # the attack floor of the default configuration
 
 
 @contextmanager
@@ -88,11 +90,10 @@ def test_wavefront_convergence(capsys):
             )
             center = (n // 2) * n + n // 2
             seeds = make_seed_map([(center, 1)])
-            params = AttenuationParams.for_image(image)
             grid = init_from_seeds(n, n, seeds)
 
             start = time.perf_counter()
-            weights = neighbor_weights(image, NeighborhoodKind.MOORE8, params)
+            weights = neighbor_weights(image, NeighborhoodKind.MOORE8, EPSILON)
             out, steps, converged = run_to_convergence(grid, weights, max_iters=10 * n)
             elapsed += time.perf_counter() - start
 
@@ -109,8 +110,8 @@ def test_wavefront_convergence(capsys):
                 ref_grid.theta,
                 image.data,
                 NeighborhoodKind.MOORE8.offsets(),
-                params.epsilon,
-                params.d_max,
+                EPSILON,
+                image.max_distance,
                 max_iters=10 * n,
             )
             assert ref_converged and ref_steps == steps
@@ -161,9 +162,8 @@ def test_strength_monotonicity(capsys):
             seeds = make_seed_map(
                 list(zip(idx.tolist(), rng.integers(1, 7, size=idx.size).tolist()))
             )
-            params = AttenuationParams.for_image(image)
             nb = NeighborhoodKind.MOORE8 if run % 2 else NeighborhoodKind.VONNEUMANN4
-            weights = neighbor_weights(image, nb, params)
+            weights = neighbor_weights(image, nb, EPSILON)
             grid = init_from_seeds(w, h, seeds)
             for _ in range(10 * (w + h)):
                 new_grid, changed = evolve_step(grid, weights)
@@ -204,8 +204,7 @@ def test_elimination_soundness(capsys):
                 seeds = make_seed_map(
                     list(zip(idx.tolist(), range(1, count + 1)))
                 )
-                params = AttenuationParams.for_image(image)
-                weights = neighbor_weights(image, NeighborhoodKind.MOORE8, params)
+                weights = neighbor_weights(image, NeighborhoodKind.MOORE8, EPSILON)
                 grid = init_from_seeds(w, h, seeds)
                 grid, _, converged = run_to_convergence(
                     grid, weights, max_iters=10 * (w + h)

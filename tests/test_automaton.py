@@ -8,18 +8,19 @@ from hypothesis import strategies as st
 import reference
 from ca_segment import automaton
 from ca_segment import (
-    AttenuationParams,
     AutomatonGrid,
     ContractError,
     MultibandImage,
     NeighborhoodKind,
     SeedMap,
-    attenuation,
     evolve_step,
     init_from_seeds,
     neighbor_weights,
     run_to_convergence,
 )
+
+
+EPSILON = 1e-6
 
 
 def image_from(data, depth=8):
@@ -35,7 +36,7 @@ def seed_map(pairs):
 
 
 def weights_for(image, nb=NeighborhoodKind.MOORE8):
-    return neighbor_weights(image, nb, AttenuationParams.for_image(image))
+    return neighbor_weights(image, nb, EPSILON)
 
 
 def random_setup(rng, max_side=32, max_bands=4):
@@ -51,56 +52,58 @@ def random_setup(rng, max_side=32, max_bands=4):
 
 def reference_trajectory(grid, image, nb, min_steps=1):
     """Loop-oracle states after each step, up to the first unchanged one."""
-    params = AttenuationParams.for_image(image)
     states = [(grid.labels.copy(), grid.theta.copy())]
     while len(states) <= min_steps or not (
         (states[-1][0] == states[-2][0]).all() and (states[-1][1] == states[-2][1]).all()
     ):
         states.append(
             reference.evolve_by_loop(
-                *states[-1], image.data, nb.offsets(), params.epsilon, params.d_max
+                *states[-1], image.data, nb.offsets(), EPSILON, image.max_distance
             )
         )
     return states[1:]
 
 
+def attack_factors(image):
+    """Factor of the attack from (1, c) on (0, c) for each column c."""
+    weights = weights_for(image, NeighborhoodKind.VONNEUMANN4)
+    (plane,) = [plane for dr, dc, plane in weights if (dr, dc) == (1, 0)]
+    return plane[0]
+
+
 class TestAttenuation:
+    # D is 255 * 2 for 4-band 8-bit data, so these distances are exact
     def test_zero_distance(self):
-        params = AttenuationParams(d_max=100.0)
-        assert attenuation(0.0, params) == 1.0
+        image = image_from(np.full((2, 1, 4), 77))
+        assert attack_factors(image).tolist() == [1.0]
 
     def test_floor_at_max_distance(self):
-        params = AttenuationParams(d_max=100.0, epsilon=1e-6)
-        assert attenuation(100.0, params) == 1e-6
+        image = image_from([[[0, 0, 0, 0]], [[255, 255, 255, 255]]])
+        assert attack_factors(image).tolist() == [EPSILON]
 
     def test_linear_midpoint(self):
-        params = AttenuationParams(d_max=100.0)
-        assert attenuation(50.0, params) == 0.5
+        image = image_from([[[0, 0, 0, 0]], [[255, 0, 0, 0]]])
+        assert attack_factors(image).tolist() == [0.5]
 
     def test_monotone_non_increasing(self):
-        params = AttenuationParams(d_max=441.7)
-        distances = np.linspace(0, 600, 50)
-        values = [attenuation(d, params) for d in distances]
+        # row 0 is black, row 1 a ramp from black to white in every band
+        ramp = np.linspace(0, 255, 50).astype(np.uint8)
+        data = np.zeros((2, ramp.size, 4), dtype=np.uint8)
+        data[1] = ramp[:, None]
+        values = attack_factors(image_from(data)).tolist()
         assert all(a >= b for a, b in zip(values, values[1:]))
-        assert attenuation(distances, params).tolist() == values
+        assert (values[0], values[-1]) == (1.0, EPSILON)
 
-    def test_negative_distance_rejected(self):
-        params = AttenuationParams(d_max=100.0)
-        with pytest.raises(ContractError):
-            attenuation(-1.0, params)
-        with pytest.raises(ContractError):
-            attenuation(np.array([0.0, 5.0, -1e-9, 50.0]), params)
-
-    def test_for_image_d_max(self):
-        image = image_from(np.zeros((1, 1, 3)))
-        params = AttenuationParams.for_image(image)
-        assert params.d_max == pytest.approx(255 * np.sqrt(3))
+    def test_max_distance(self):
+        assert image_from(np.zeros((1, 1, 3))).max_distance == pytest.approx(255 * np.sqrt(3))
+        image = image_from(np.zeros((1, 1, 8)), depth=16)
+        assert image.max_distance == pytest.approx(65535 * np.sqrt(8))
 
     def test_invalid_params(self):
-        with pytest.raises(ContractError):
-            AttenuationParams(d_max=0.0)
-        with pytest.raises(ContractError):
-            AttenuationParams(d_max=1.0, epsilon=0.0)
+        image = image_from(np.zeros((2, 2, 1)))
+        for epsilon in (0.0, 1.0, -1e-6, 1.5, float("nan")):
+            with pytest.raises(ContractError, match="epsilon"):
+                neighbor_weights(image, NeighborhoodKind.MOORE8, epsilon)
 
 
 class TestNeighborWeights:
@@ -112,18 +115,17 @@ class TestNeighborWeights:
         rng = np.random.default_rng(67)
         top = (1 << depth) - 1
         data = rng.integers(0, top + 1, size=shape)
-        # two adjacent extremes are d_max apart, which drives the factor
+        # two adjacent extremes are max_distance apart, which drives the factor
         # between them down to the epsilon floor
         data[0, 0] = 0
         data[(0, 1) if shape[1] > 1 else (1, 0)] = top
         image = image_from(data, depth=depth)
-        params = AttenuationParams.for_image(image)
-        weights = neighbor_weights(image, nb, params)
+        weights = weights_for(image, nb)
         want = reference.weight_planes_by_loop(
-            image.data, nb.offsets(), params.epsilon, params.d_max
+            image.data, nb.offsets(), EPSILON, image.max_distance
         )
         assert [(dr, dc) for dr, dc, _ in weights] == list(nb.offsets())
-        assert any((plane == params.epsilon).any() for plane in want)
+        assert any((plane == EPSILON).any() for plane in want)
         for (_, _, plane), expected in zip(weights, want):
             assert plane.dtype == np.float64
             assert (plane == expected).all()
@@ -154,7 +156,7 @@ class TestAutomatonGrid:
         ]
         assert grid.labels.ravel()[[5, 9, 23]].tolist() == [1, 2, 3]
         unknown = AutomatonGrid(labels=grid.labels, theta=grid.theta).nulled(freed)
-        assert unknown.changed is None
+        assert unknown.changed.all()
 
 
 class TestInitFromSeeds:
@@ -212,8 +214,7 @@ class TestEvolveStep:
         for nb in NeighborhoodKind:
             for _ in range(10):
                 image, seeds = random_setup(rng, max_side=12)
-                params = AttenuationParams.for_image(image)
-                weights = neighbor_weights(image, nb, params)
+                weights = weights_for(image, nb)
                 start = init_from_seeds(image.width, image.height, seeds)
                 ref = reference_trajectory(start, image, nb, min_steps=6)
                 for chunk, threads in layouts:

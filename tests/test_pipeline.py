@@ -18,7 +18,7 @@ from ca_segment import (
     run_segment,
     save_envi_bsq,
 )
-from ca_segment.cli import _build_parser, _config_from_args, main
+from ca_segment.cli import _build_parser, _config_from_args, _unmet, main
 
 
 def write_envi(path, data, depth=8):
@@ -167,6 +167,9 @@ class TestRunSegment:
             {"threads": 0},
             {"max_rounds": 0},
             {"max_iters": 0},
+            {"epsilon": 0.0},
+            {"epsilon": 1.0},
+            {"epsilon": -0.5},
         ):
             with pytest.raises(ContractError):
                 run_segment(base_config(tmp_path, path, **bad))
@@ -277,6 +280,42 @@ class TestCli:
             args[0] = command
             assert main(args) == 2
             assert "delta_rel must be >= 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "extra, message",
+        [
+            (("--epsilon", "0"), "epsilon"),
+            (("--epsilon", "1"), "epsilon"),
+            (("--preview-bands", "0,1,9"), "preview bands"),
+        ],
+    )
+    def test_bad_settings_fail_before_the_run(self, tmp_path, capsys, extra, message):
+        data = np.concatenate([two_region_data(), two_region_data()[:, :, :1]], axis=2)
+        path = write_envi(tmp_path / "img.bsq", data)
+        preview = str(tmp_path / "preview.ppm")
+        assert main(self.segment_args(tmp_path, path, "--out-preview", preview, *extra)) == 2
+        assert message in capsys.readouterr().err
+        # nothing is written: no labels, stats or preview next to the input
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["img.bsq", "img.bsq.hdr"]
+
+    def test_unmet_study_scale_is_a_warning_unless_strict(self, tmp_path, capsys):
+        # the 20x20 island is below the study scale; two steps regrow only
+        # the outer two rings of it, leaving 16 * 16 null cells
+        data = np.full((40, 40, 3), 30, dtype=np.uint8)
+        data[10:30, 10:30] = 220
+        path = write_envi(tmp_path / "img.bsq", data)
+        args = self.segment_args(tmp_path, path, "--min-area", "500", "--max-iters", "2")
+        assert main(args) == 0
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["warning: 256 null cells remain"]
+        assert main(args + ["--strict"]) == 2
+        assert capsys.readouterr().err.splitlines() == err
+
+    def test_undersized_segments_are_unmet(self, tmp_path):
+        path = write_envi(tmp_path / "img.bsq", two_region_data())
+        report = run_segment(base_config(tmp_path, path))
+        assert _unmet(report, 150) == []
+        assert _unmet(report, 4096) == ["2 segment(s) below --min-area 4096 remain"]
 
     def test_iteration_cap_is_a_warning_unless_strict(self, tmp_path, capsys):
         path = write_envi(tmp_path / "img.bsq", two_region_data())

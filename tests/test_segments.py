@@ -9,7 +9,6 @@ from hypothesis.extra import numpy as hnp
 import reference
 from ca_segment import segments
 from ca_segment import (
-    AttenuationParams,
     AutomatonGrid,
     ContractError,
     LabelRaster,
@@ -41,7 +40,7 @@ def image_from(data):
 
 
 def moore_weights(image):
-    return neighbor_weights(image, NeighborhoodKind.MOORE8, AttenuationParams.for_image(image))
+    return neighbor_weights(image, NeighborhoodKind.MOORE8, 1e-6)
 
 
 def assert_extraction_of(segs, labels, connectivity=NeighborhoodKind.MOORE8):
