@@ -73,14 +73,6 @@ class AutomatonGrid:
         elif self.changed.shape != self.labels.shape or self.changed.dtype != np.bool_:
             raise ContractError("changed must be a bool mask of the grid's shape")
 
-    @property
-    def height(self) -> int:
-        return self.labels.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.labels.shape[1]
-
     def nulled(self, cells: np.ndarray) -> "AutomatonGrid":
         """Copy of the grid with the ``cells`` mask set to null.
 
@@ -227,7 +219,7 @@ def evolve_step(grid: AutomatonGrid, weights, threads: int = 1):
     if any((-dr, -dc) not in planes for dr, dc in planes):
         raise ContractError("weight planes must come in mirrored pairs")
 
-    h, w = grid.height, grid.width
+    h, w = grid.labels.shape
     labels, theta = grid.labels.ravel(), grid.theta.ravel()
     cells = np.flatnonzero(grid.changed)
     old_labels, old_theta = labels.take(cells), theta.take(cells)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import fields
 
@@ -58,9 +59,6 @@ def _add_intake_flags(parser):
         metavar="I,J,K",
         help="band subset to segment (default: all bands)",
     )
-    parser.add_argument(
-        "--neighborhood", choices=_NEIGHBORHOODS, default=_DEFAULT["neighborhood"].value
-    )
     parser.add_argument("--delta-rel", type=float, default=_DEFAULT["delta_rel"],
                         help="relative spread below which a pixel counts as balanced")
     parser.add_argument("--smooth-window", type=int, default=_DEFAULT["smooth_window"])
@@ -71,18 +69,6 @@ def _add_intake_flags(parser):
     parser.add_argument("--half-width", type=int, default=_DEFAULT["half_width"])
     parser.add_argument("--max-peaks", type=int, default=_DEFAULT["max_peaks"])
     parser.add_argument("--stride", type=int, default=_DEFAULT["stride"])
-    parser.add_argument("--epsilon", type=float, default=_DEFAULT["epsilon"])
-    parser.add_argument("--min-area", type=int, default=_DEFAULT["min_area"],
-                        help="study scale: segments below this area are regrown")
-    parser.add_argument("--max-iters", type=int, default=_DEFAULT["max_iters"],
-                        help="evolution cap (default: 10 * (width + height))")
-    parser.add_argument("--max-rounds", type=int, default=_DEFAULT["max_rounds"])
-    parser.add_argument("--threads", type=int, default=_DEFAULT["threads"],
-                        help="workers over chunks of each step's attacking cells; "
-                        "output identical for any value")
-    parser.add_argument("--strict", action="store_true",
-                        help="exit 2 if the automaton hits the iteration cap or null "
-                        "cells or segments below --min-area remain")
     parser.add_argument("--out-labels", required=True, help="output label raster path")
     parser.add_argument("--out-stats", required=True, help="output stats JSON path")
 
@@ -93,6 +79,21 @@ def _build_parser():
 
     seg = sub.add_parser("segment", help="run the full segmentation pipeline")
     _add_intake_flags(seg)
+    seg.add_argument(
+        "--neighborhood", choices=_NEIGHBORHOODS, default=_DEFAULT["neighborhood"].value
+    )
+    seg.add_argument("--epsilon", type=float, default=_DEFAULT["epsilon"])
+    seg.add_argument("--min-area", type=int, default=_DEFAULT["min_area"],
+                     help="study scale: segments below this area are regrown")
+    seg.add_argument("--max-iters", type=int, default=_DEFAULT["max_iters"],
+                     help="evolution cap (default: 10 * (width + height))")
+    seg.add_argument("--max-rounds", type=int, default=_DEFAULT["max_rounds"])
+    seg.add_argument("--threads", type=int, default=_DEFAULT["threads"],
+                     help="workers over chunks of each step's attacking cells; "
+                     "output identical for any value")
+    seg.add_argument("--strict", action="store_true",
+                     help="exit 2, leaving no outputs, if the automaton hits the "
+                     "iteration cap or null cells or segments below --min-area remain")
     seg.add_argument("--out-preview", default=_DEFAULT["out_preview"],
                      help="optional preview PPM path")
     seg.add_argument(
@@ -117,9 +118,11 @@ def _build_parser():
 
 
 def _config_from_args(args) -> PipelineConfig:
-    # each config field is the dest of a flag; ``seeds`` lacks the preview ones
+    # each config field is the dest of a flag; ``seeds`` lacks the
+    # segment-only ones, which keep their defaults
     values = {name: getattr(args, name) for name in _DEFAULT if hasattr(args, name)}
-    values["neighborhood"] = NeighborhoodKind(args.neighborhood)
+    if "neighborhood" in values:
+        values["neighborhood"] = NeighborhoodKind(values["neighborhood"])
     return PipelineConfig(**values)
 
 
@@ -148,11 +151,16 @@ def main(argv=None) -> int:
 
     try:
         if args.command == "segment":
-            report = run_segment(_config_from_args(args))
-            unmet = _unmet(report, args.min_area)
+            config = _config_from_args(args)
+            report = run_segment(config)
+            unmet = _unmet(report, config.min_area)
             for problem in unmet:
                 print(f"warning: {problem}", file=sys.stderr)
             if unmet and args.strict:
+                written = {config.out_labels, config.out_labels + ".json",
+                           config.out_stats, config.out_preview}
+                for path in written - {None}:
+                    os.remove(path)
                 return 2
             print(
                 f"{report.seed_count} seeds ({report.seed_fraction:.1%}), "

@@ -283,7 +283,7 @@ def run_segment(config: PipelineConfig) -> RunReport:
             raster.save_preview(
                 image,
                 LabelRaster(labels=final.seg_map),
-                {row["id"]: row["signature"] for row in seg_rows},
+                [row["signature"] for row in seg_rows],
                 preview,
                 config.out_preview,
             )
@@ -309,7 +309,7 @@ def recompute_stats(labels_path, connectivity=NeighborhoodKind.MOORE8) -> dict:
     return {
         "width": label_raster.width,
         "height": label_raster.height,
-        "label_count": label_raster.label_count(),
+        "label_count": len({s.label for s in segs.segments}),
         "labeled_pixels": int((label_raster.labels != 0).sum()),
         "segment_count": len(segs),
         "segments": [

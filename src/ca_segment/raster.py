@@ -103,22 +103,6 @@ class LabelRaster:
     def width(self) -> int:
         return self.labels.shape[1]
 
-    def label_count(self) -> int:
-        """Number of distinct nonzero ids present."""
-        return int(_nonzero_ids(self.labels).size)
-
-
-def _nonzero_ids(labels: np.ndarray) -> np.ndarray:
-    """Sorted distinct nonzero values of ``labels``.
-
-    One sort and a neighbor compare; plain ``np.unique`` would also check
-    for a masked array, which imports ``numpy.ma`` on first use.
-    """
-    ids = np.sort(labels[labels != 0])
-    keep = np.ones(ids.size, dtype=bool)
-    keep[1:] = ids[1:] != ids[:-1]
-    return ids[keep]
-
 
 def _envi_paths(path):
     # Either the header ('x.hdr') or the payload path may be given.
@@ -295,16 +279,13 @@ def load_image(path, format=None) -> MultibandImage:
     raise ContractError(f"unknown image format '{format}'")
 
 
-def save_label_raster(raster: LabelRaster, path, label_count: int | None = None) -> None:
+def save_label_raster(raster: LabelRaster, path, label_count: int) -> None:
     """Write raw little-endian uint32 labels plus a JSON sidecar.
 
-    The sidecar at ``<path>.json`` records width, height and the number of
-    distinct nonzero ids, so ``load_label_raster`` can rebuild the grid.
-    A caller that has counted those ids passes ``label_count``; otherwise
-    they are counted here.
+    The sidecar at ``<path>.json`` records width, height and
+    ``label_count``, the caller's count of the distinct nonzero ids, so
+    ``load_label_raster`` can rebuild the grid.
     """
-    if label_count is None:
-        label_count = raster.label_count()
     payload = raster.labels.astype("<u4", copy=False).tobytes()
     sidecar = {
         "width": raster.width,
@@ -363,9 +344,10 @@ def save_preview(
 ) -> None:
     """Render each labeled cell with its signature color and write a PPM.
 
-    ``signatures`` maps every nonzero id present in ``labels`` to an N-vector
-    of digital levels; the (r, g, b) samples taken at ``band_triple`` are
-    rescaled from the image depth to 8 bit. Null cells render black.
+    ``signatures`` holds one N-vector of digital levels per id, row i for
+    id i + 1, and must reach the largest id in ``labels``; the (r, g, b)
+    samples taken at ``band_triple`` are rescaled from the image depth to
+    8 bit. Null cells render black.
     """
     if labels.height != image.height or labels.width != image.width:
         raise ContractError("label raster dimensions do not match the image")
@@ -374,20 +356,15 @@ def save_preview(
         raise ContractError("band_triple must have exactly three entries")
     if any(b < 0 or b >= image.bands for b in triple):
         raise ContractError(f"band triple {triple} out of range for {image.bands} bands")
+    if any(np.shape(sig) != (image.bands,) for sig in signatures):
+        raise ContractError(f"every signature must be a {image.bands}-vector")
+    top = int(labels.labels.max())
+    if top > len(signatures):
+        raise ContractError(f"no signature for label {top}")
 
-    ids = _nonzero_ids(labels.labels)
-    table = np.zeros((len(ids) + 1, 3), dtype=np.uint8)
+    # row 0 (null) stays black; rounded rescale from [0, 2^depth - 1] to [0, 255]
+    table = np.zeros((len(signatures) + 1, 3), dtype=np.int64)
+    table[1:] = np.reshape(signatures, (-1, image.bands))[:, list(triple)]
     maxv = image.max_level
-    for row, lab in enumerate(ids, start=1):
-        key = int(lab)
-        if key not in signatures:
-            raise ContractError(f"no signature for label {key}")
-        sig = np.asarray(signatures[key])
-        samples = sig[list(triple)].astype(np.int64)
-        # rounded rescale from [0, 2^depth - 1] to [0, 255]
-        table[row] = ((samples * 255 + maxv // 2) // maxv).astype(np.uint8)
-
-    # index 0 -> black; nonzero labels -> their table row
-    idx = np.searchsorted(ids, labels.labels)
-    rows = np.where(labels.labels == 0, 0, idx + 1)
-    save_ppm(table[rows], path)
+    table = ((table * 255 + maxv // 2) // maxv).astype(np.uint8)
+    save_ppm(table[labels.labels], path)

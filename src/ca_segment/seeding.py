@@ -236,16 +236,14 @@ def generate_seeds(
         raise ContractError("stride must be >= 1")
     ordered = _validate_ranges(ranges)
 
-    data = image.data[::stride, ::stride].astype(np.int64)
+    data = image.data[::stride, ::stride]
     sub_h, sub_w, n = data.shape
-    sums = data.sum(axis=2)
+    sums = data.sum(axis=2, dtype=np.int64)
 
     range_idx = np.full((sub_h, sub_w), -1, dtype=np.int64)
     for i, r in enumerate(ordered):
         inside = (sums >= r.lo) & (sums <= r.hi)
         range_idx[inside] = i
-
-    region = classify_spectral_region(data, delta_rel)
 
     rows, cols = np.nonzero(range_idx >= 0)  # row-major scan order
     if rows.size == 0:
@@ -256,7 +254,8 @@ def generate_seeds(
         )
 
     pixel_indices = rows * stride * image.width + cols * stride
-    keys = range_idx[rows, cols] * (n + 1) + (region[rows, cols] + 1)
+    region = classify_spectral_region(data[rows, cols], delta_rel)
+    keys = range_idx[rows, cols] * (n + 1) + (region + 1)
 
     uniq, first = np.unique(keys, return_index=True)
     by_first = np.argsort(first, kind="stable")

@@ -47,9 +47,6 @@ class SegmentSet:
     def __len__(self) -> int:
         return len(self.segments)
 
-    def areas(self) -> np.ndarray:
-        return np.array([s.area for s in self.segments], dtype=np.int64)
-
 
 def _segment_ids(lab: np.ndarray, connectivity: NeighborhoodKind) -> np.ndarray:
     """Per-pixel segment ids (0 = null), numbered from 1 by first pixel."""
@@ -62,9 +59,8 @@ def _segment_ids(lab: np.ndarray, connectivity: NeighborhoodKind) -> np.ndarray:
     # cell (r, c) links its run to the run at (r + 1, c + dc) when both
     # hold the same nonzero label; its left neighbour links the same two
     # runs unless one of them starts at this cell, so only those are kept
-    dcs = (-1, 0, 1) if connectivity is NeighborhoodKind.MOORE8 else (0,)
     tops, bottoms = [], []
-    for dc in dcs:
+    for dc in (dc for dr, dc in connectivity.offsets() if dr == 1):
         tc = slice(max(0, -dc), w - max(0, dc))
         bc = slice(max(0, dc), w - max(0, -dc))
         top = lab[:-1, tc]
@@ -112,7 +108,10 @@ def extract_segments(labels: LabelRaster, connectivity: NeighborhoodKind) -> Seg
 
 
 def null_small_segments(grid: AutomatonGrid, segs: SegmentSet, min_area: int):
-    """Null every segment below ``min_area``; returns (grid, cleared segment count)."""
+    """Null every segment below ``min_area``; returns (grid, cleared segment count).
+
+    A grid with nothing to clear comes back untouched.
+    """
     if min_area < 1:
         raise ContractError("min_area must be >= 1")
     if segs.seg_map.shape != grid.labels.shape:
@@ -123,6 +122,8 @@ def null_small_segments(grid: AutomatonGrid, segs: SegmentSet, min_area: int):
         if seg.area < min_area:
             freed[seg.pixels] = True
             cleared += 1
+    if not cleared:
+        return grid, 0
     return grid.nulled(freed.reshape(grid.labels.shape)), cleared
 
 
@@ -151,25 +152,22 @@ def eliminate_oversegmentation(
     if segs is None:
         segs = extract_segments(LabelRaster(labels=grid.labels), connectivity)
 
-    rounds_used = 0
     cleared_per_round = []
     for _ in range(max_rounds):
         if not segs.segments:
             raise ContractError("grid carries no labeled segments; nothing to grow from")
-        small = [s for s in segs.segments if s.area < min_area]
-        if not small:
+        nulled, cleared = null_small_segments(grid, segs, min_area)
+        if not cleared:
             break
-        if len(small) == len(segs.segments):
+        if cleared == len(segs.segments):
             raise ContractError(
                 f"every segment is below min_area={min_area}; nothing to grow from "
                 "(lower min_area or loosen the seeding parameters)"
             )
-        grid, cleared = null_small_segments(grid, segs, min_area)
-        grid, _, _ = run_to_convergence(grid, weights, max_iters, threads=threads)
+        grid, _, _ = run_to_convergence(nulled, weights, max_iters, threads=threads)
         segs = extract_segments(LabelRaster(labels=grid.labels), connectivity)
-        rounds_used += 1
         cleared_per_round.append(cleared)
-    return grid, rounds_used, cleared_per_round, segs
+    return grid, len(cleared_per_round), cleared_per_round, segs
 
 
 # Bytes of distances per matmul in the plain blocks: 32 rows of a 4 096-member segment.

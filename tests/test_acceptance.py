@@ -352,7 +352,7 @@ def test_format_round_trips(tmp_path, capsys):
                 labels=rng.integers(0, 2 ** 31, size=(h, w)).astype(np.uint32)
             )
             path = str(tmp_path / f"labels{case}.u32")
-            save_label_raster(raster, path)
+            save_label_raster(raster, path, len(set(raster.labels.flat) - {0}))
             back = load_label_raster(path)
             assert (back.labels == raster.labels).all()
 
@@ -374,7 +374,7 @@ def test_format_round_trips(tmp_path, capsys):
 
         raster = LabelRaster(labels=np.arange(12, dtype=np.uint32).reshape(3, 4))
         lab_path = tmp_path / "good.u32"
-        save_label_raster(raster, str(lab_path))
+        save_label_raster(raster, str(lab_path), 11)
         short = tmp_path / "short.u32"
         short.write_bytes(lab_path.read_bytes()[:-4])
         (tmp_path / "short.u32.json").write_text(

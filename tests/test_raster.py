@@ -172,7 +172,7 @@ class TestLabelRaster:
     def test_little_endian_payload(self, tmp_path):
         raster = LabelRaster(labels=np.array([[0, 7]], dtype=np.uint32))
         path = str(tmp_path / "out.labels")
-        save_label_raster(raster, path)
+        save_label_raster(raster, path, 1)
         with open(path, "rb") as fh:
             assert fh.read().hex() == "0000000007000000"
 
@@ -180,7 +180,7 @@ class TestLabelRaster:
         rng = np.random.default_rng(3)
         labels = rng.integers(0, 2**32, size=(6, 9), dtype=np.uint32)
         path = str(tmp_path / "out.labels")
-        save_label_raster(LabelRaster(labels=labels), path)
+        save_label_raster(LabelRaster(labels=labels), path, len(set(labels.flat) - {0}))
         again = load_label_raster(path)
         assert (again.labels == labels).all()
 
@@ -189,14 +189,14 @@ class TestLabelRaster:
 
         raster = LabelRaster(labels=np.zeros((2, 2), dtype=np.uint32))
         path = str(tmp_path / "out.labels")
-        save_label_raster(raster, path)
+        save_label_raster(raster, path, 0)
         with open(path + ".json") as fh:
             assert json.load(fh)["label_count"] == 0
 
     def test_size_mismatch_rejected(self, tmp_path):
         raster = LabelRaster(labels=np.ones((2, 2), dtype=np.uint32))
         path = str(tmp_path / "out.labels")
-        save_label_raster(raster, path)
+        save_label_raster(raster, path, 1)
         with open(path, "ab") as fh:
             fh.write(b"\x00")
         with pytest.raises(FormatError):
@@ -240,7 +240,7 @@ class TestPreview:
         image = MultibandImage(data=np.zeros((2, 2, 3), dtype=np.uint8), depth=8)
         labels = LabelRaster(labels=np.ones((2, 2), dtype=np.uint32))
         path = str(tmp_path / "prev.ppm")
-        save_preview(image, labels, {1: np.array([100, 150, 200])}, (0, 1, 2), path)
+        save_preview(image, labels, [np.array([100, 150, 200])], (0, 1, 2), path)
         rendered = load_ppm(path)
         assert (rendered.data == np.array([100, 150, 200], dtype=np.uint8)).all()
 
@@ -248,7 +248,7 @@ class TestPreview:
         image = MultibandImage(data=np.zeros((1, 2, 3), dtype=np.uint8), depth=8)
         labels = LabelRaster(labels=np.array([[1, 0]], dtype=np.uint32))
         path = str(tmp_path / "prev.ppm")
-        save_preview(image, labels, {1: np.array([9, 9, 9])}, (0, 1, 2), path)
+        save_preview(image, labels, [np.array([9, 9, 9])], (0, 1, 2), path)
         rendered = load_ppm(path)
         assert rendered.data[0, 0].tolist() == [9, 9, 9]
         assert rendered.data[0, 1].tolist() == [0, 0, 0]
@@ -257,22 +257,36 @@ class TestPreview:
         image = MultibandImage(data=np.zeros((1, 1, 3), dtype=np.uint16), depth=16)
         labels = LabelRaster(labels=np.ones((1, 1), dtype=np.uint32))
         path = str(tmp_path / "prev.ppm")
-        save_preview(image, labels, {1: np.array([65535, 0, 32768])}, (0, 1, 2), path)
+        save_preview(image, labels, [np.array([65535, 0, 32768])], (0, 1, 2), path)
         rendered = load_ppm(path)
         assert rendered.data[0, 0].tolist() == [255, 0, 128]
 
     def test_missing_signature_rejected(self, tmp_path):
         image = MultibandImage(data=np.zeros((1, 2, 3), dtype=np.uint8), depth=8)
         labels = LabelRaster(labels=np.array([[1, 2]], dtype=np.uint32))
-        with pytest.raises(ContractError):
-            save_preview(image, labels, {1: np.zeros(3)}, (0, 1, 2),
+        with pytest.raises(ContractError, match="no signature for label 2"):
+            save_preview(image, labels, [np.zeros(3)], (0, 1, 2),
                          str(tmp_path / "prev.ppm"))
+
+    def test_signature_of_wrong_length_rejected(self, tmp_path):
+        image = MultibandImage(data=np.zeros((1, 2, 3), dtype=np.uint8), depth=8)
+        labels = LabelRaster(labels=np.array([[1, 2]], dtype=np.uint32))
+        for signatures in ([np.zeros(3), np.zeros(4)], [np.zeros(3), np.zeros((1, 3))]):
+            with pytest.raises(ContractError, match="3-vector"):
+                save_preview(image, labels, signatures, (0, 1, 2), str(tmp_path / "prev.ppm"))
+
+    def test_all_null_raster_without_signatures_is_black(self, tmp_path):
+        image = MultibandImage(data=np.full((2, 3, 4), 200, dtype=np.uint8), depth=8)
+        labels = LabelRaster(labels=np.zeros((2, 3), dtype=np.uint32))
+        path = str(tmp_path / "prev.ppm")
+        save_preview(image, labels, [], (0, 1, 2), path)
+        assert (load_ppm(path).data == 0).all()
 
     def test_band_triple_out_of_range(self, tmp_path):
         image = MultibandImage(data=np.zeros((1, 1, 2), dtype=np.uint8), depth=8)
         labels = LabelRaster(labels=np.ones((1, 1), dtype=np.uint32))
         with pytest.raises(ContractError):
-            save_preview(image, labels, {1: np.zeros(2)}, (0, 1, 2),
+            save_preview(image, labels, [np.zeros(2)], (0, 1, 2),
                          str(tmp_path / "prev.ppm"))
 
 

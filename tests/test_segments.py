@@ -102,7 +102,7 @@ class TestExtractSegments:
                     assert seg.pixels.tolist() == members
                     assert seg.area == len(members)
                     assert (segs.seg_map.ravel()[members] == seg.id).all()
-                assert segs.areas().sum() == int((labels != 0).sum())
+                assert sum(s.area for s in segs.segments) == int((labels != 0).sum())
 
 
 def assert_matches_bfs(labels, connectivity):
@@ -199,8 +199,9 @@ class TestNullSmallSegments:
     def test_min_area_one_never_clears(self):
         grid = grid_from_labels([[1, 0], [0, 2]])
         segs = extract_segments(LabelRaster(labels=grid.labels), NeighborhoodKind.MOORE8)
-        _, cleared = null_small_segments(grid, segs, min_area=1)
+        out, cleared = null_small_segments(grid, segs, min_area=1)
         assert cleared == 0
+        assert out is grid  # nothing cleared, nothing copied
 
     def test_invalid_min_area(self):
         grid = grid_from_labels([[1]])
@@ -248,7 +249,7 @@ class TestEliminateOversegmentation:
         assert (rounds, cleared) == (3, [1, 1, 1])
         assert out.labels.tolist() == [[1, 1, 2, 2], [2, 2, 1, 2], [2, 2, 2, 2]]
         assert_extraction_of(segs, out.labels, NeighborhoodKind.VONNEUMANN4)
-        assert sorted(segs.areas().tolist()) == [1, 2, 9]
+        assert sorted(s.area for s in segs.segments) == [1, 2, 9]
 
     def test_iteration_cap_leaves_null_cells_in_returned_segments(self):
         # two steps refill only a two-cell ring of the freed 20 x 20 island
@@ -263,7 +264,7 @@ class TestEliminateOversegmentation:
         assert_extraction_of(segs, out.labels)
         assert int((segs.seg_map == 0).sum()) == 256
         assert (segs.seg_map[12:28, 12:28] == 0).all()
-        assert segs.areas().tolist() == [1600 - 256]
+        assert [s.area for s in segs.segments] == [1600 - 256]
 
     def test_capped_run_eliminates_as_if_history_were_unknown(self):
         # a colonization stopped by max_iters still has a moving wavefront;
@@ -341,6 +342,17 @@ class TestEliminateOversegmentation:
         with pytest.raises(ContractError):
             eliminate_oversegmentation(
                 grid, moore_weights(image), NeighborhoodKind.MOORE8, min_area=1, max_iters=40,
+            )
+
+    @pytest.mark.parametrize("min_area", [0, -5])
+    def test_invalid_min_area(self, min_area):
+        # elimination nulls through null_small_segments, which rejects these
+        image = image_from(np.full((2, 2, 1), 5))
+        grid = grid_from_labels([[1, 1], [1, 2]])
+        with pytest.raises(ContractError, match="min_area must be >= 1"):
+            eliminate_oversegmentation(
+                grid, moore_weights(image), NeighborhoodKind.MOORE8,
+                min_area=min_area, max_iters=20,
             )
 
     def test_invalid_max_rounds(self):
