@@ -94,26 +94,12 @@ class AutomatonGrid:
         return AutomatonGrid(labels=labels, theta=theta, changed=self.changed | ring)
 
 
-def init_from_seeds(width: int, height: int, seeds: SeedMap) -> AutomatonGrid:
-    """Grid at step 0: seed cells at full strength, everything else null."""
-    idx = np.asarray(seeds.pixel_indices, dtype=np.int64)
-    if idx.size:
-        ordered = np.sort(idx)
-        if ordered[0] < 0 or ordered[-1] >= width * height:
-            raise ContractError("seed pixel index out of range")
-        if (ordered[1:] == ordered[:-1]).any():
-            raise ContractError("duplicate seed pixel index")
-    labels = np.zeros(width * height, dtype=np.uint32)
-    theta = np.zeros(width * height, dtype=np.float64)
-    labels[idx] = seeds.labels
-    theta[idx] = 1.0
+def init_from_seeds(seeds: SeedMap) -> AutomatonGrid:
+    """Grid at step 0: the seed raster's cells at full strength, the rest null."""
     # the all-null grid is a fixpoint, so only the seeds have moved from it
-    changed = np.zeros(width * height, dtype=bool)
-    changed[idx] = True
-    shape = (height, width)
+    seeded = seeds.labels != 0
     return AutomatonGrid(
-        labels=labels.reshape(shape), theta=theta.reshape(shape),
-        changed=changed.reshape(shape),
+        labels=seeds.labels.copy(), theta=seeded.astype(np.float64), changed=seeded
     )
 
 

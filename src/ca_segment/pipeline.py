@@ -188,14 +188,12 @@ def _label_summary(seeds: seeding.SeedMap, final_labels=None) -> dict:
     The output is the seed raster, or ``final_labels`` when given, whose
     ids never exceed ``seeds.label_count``.
     """
-    id_to_key = {v: k for k, v in seeds.label_table.items()}
-    seed_counts = np.bincount(seeds.labels, minlength=seeds.label_count + 1)
+    seed_counts = np.bincount(seeds.labels.ravel(), minlength=seeds.label_count + 1)
     counts = seed_counts
     if final_labels is not None:
         counts = np.bincount(final_labels.ravel(), minlength=seeds.label_count + 1)
     rows = []
-    for lab in range(1, seeds.label_count + 1):
-        range_idx, region = id_to_key[lab]
+    for lab, (range_idx, region) in enumerate(seeds.keys, start=1):
         row = {
             "label": lab,
             "range_index": range_idx,
@@ -213,12 +211,11 @@ def run_seeds(config: PipelineConfig) -> RunReport:
     times = {}
     image, _, ranges, seeds = _load_and_seed(config, times)
 
-    grid = init_from_seeds(image.width, image.height, seeds)
     summary = _label_summary(seeds)
     with _phase(times, "write"):
         if config.out_labels:
             raster.save_label_raster(
-                LabelRaster(labels=grid.labels), config.out_labels, summary["label_count"]
+                LabelRaster(labels=seeds.labels), config.out_labels, summary["label_count"]
             )
 
     return _report(
@@ -240,7 +237,7 @@ def run_segment(config: PipelineConfig) -> RunReport:
     with _phase(times, "weights"):
         weights = neighbor_weights(image, config.neighborhood, config.epsilon)
     with _phase(times, "evolve"):
-        grid = init_from_seeds(image.width, image.height, seeds)
+        grid = init_from_seeds(seeds)
         grid, steps, converged = run_to_convergence(
             grid, weights, max_iters, threads=config.threads
         )

@@ -315,7 +315,8 @@ def load_label_raster(path) -> LabelRaster:
         raise FormatError(f"label raster sidecar not found: {sidecar_path}")
     try:
         sidecar = json.loads(_read_utf8(sidecar_path, "label raster sidecar"))
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # malformed JSON, an integer past the digit limit or too deep nesting
         raise FormatError(f"invalid label raster sidecar: {exc}")
     if not isinstance(sidecar, dict):
         raise FormatError("label raster sidecar must be a JSON object")

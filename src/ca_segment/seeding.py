@@ -4,18 +4,20 @@ Seeds are chosen by brightness and spectral shape: the histogram of
 per-pixel band sums is scanned for representative sum ranges around its
 local maxima, pixels falling in a range are classified as spectrally
 balanced or dominated by one band, and every occupied (range, region)
-combination becomes one label. Every rule here is deterministic; ties
-always resolve toward the lowest index or sum value.
+combination becomes one label. The seeds are a label raster, the
+automaton's initial labels: each seed pixel holds its label's id and every
+other pixel 0. Every rule here is deterministic; ties always resolve
+toward the lowest index or sum value.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ContractError
-from .raster import MultibandImage
+from .raster import LabelRaster, MultibandImage
 
 #: Spectral-region code for pixels whose bands carry similar digital levels.
 #: Dominant regions are coded by the dominating band index (0-based), so an
@@ -38,31 +40,29 @@ class SumRange:
 
 @dataclass
 class SeedMap:
-    """Seed pixels with their labels, plus the (range, region) -> id table.
+    """The seed raster and the (range index, spectral region) key of each id.
 
-    ``pixel_indices`` are flat row-major positions in ascending order and
-    ``labels`` is the parallel array of uint32 ids. Ids are consecutive from
-    1 in order of first encounter during the row-major scan, and only the
-    (range index, spectral region) combinations that actually occur get ids.
+    ``labels`` is a (height, width) uint32 raster holding each seed's id and
+    0 where there is no seed; ``keys[i - 1]`` is the key of id i. Ids are
+    consecutive from 1 in order of first encounter during the row-major
+    scan, and only the keys that actually occur get ids.
     """
 
-    pixel_indices: np.ndarray
     labels: np.ndarray
-    label_table: dict = field(default_factory=dict)
+    keys: list
 
     def __post_init__(self):
-        idx, labels = np.asarray(self.pixel_indices), np.asarray(self.labels)
-        if idx.ndim != 1 or labels.ndim != 1 or idx.size != labels.size:
-            raise ContractError("seed pixel indices and labels must be 1-D and of equal length")
-        if labels.size and (labels.min() < 1 or labels.max() > np.iinfo(np.uint32).max):
-            raise ContractError("seed labels must lie in 1..2**32 - 1")
+        LabelRaster(labels=self.labels)  # a seed raster is a label raster: 2-D uint32
+        top = int(self.labels.max(initial=0))
+        if top > len(self.keys):
+            raise ContractError(f"seed id {top} has no key")
 
     def __len__(self) -> int:
-        return int(self.pixel_indices.size)
+        return int(np.count_nonzero(self.labels))
 
     @property
     def label_count(self) -> int:
-        return len(self.label_table)
+        return len(self.keys)
 
 
 def region_name(region) -> str:
@@ -229,41 +229,31 @@ def generate_seeds(
 
     Pixels are visited in row-major order, subsampled by ``stride`` along
     both axes. A pixel whose band sum falls in one of the (disjoint) ranges
-    is labeled by its (range index, spectral region) pair; ids are assigned
-    consecutively from 1 in first-encounter order.
+    gets the id of its (range index, spectral region) key in the seed
+    raster; ids are assigned consecutively from 1 in first-encounter order.
     """
     if stride < 1:
         raise ContractError("stride must be >= 1")
     ordered = _validate_ranges(ranges)
 
     data = image.data[::stride, ::stride]
-    sub_h, sub_w, n = data.shape
+    n = image.bands
     sums = data.sum(axis=2, dtype=np.int64)
 
-    range_idx = np.full((sub_h, sub_w), -1, dtype=np.int64)
+    range_idx = np.full(sums.shape, -1, dtype=np.int64)
     for i, r in enumerate(ordered):
         inside = (sums >= r.lo) & (sums <= r.hi)
         range_idx[inside] = i
 
     rows, cols = np.nonzero(range_idx >= 0)  # row-major scan order
-    if rows.size == 0:
-        return SeedMap(
-            pixel_indices=np.empty(0, dtype=np.int64),
-            labels=np.empty(0, dtype=np.uint32),
-            label_table={},
-        )
-
-    pixel_indices = rows * stride * image.width + cols * stride
     region = classify_spectral_region(data[rows, cols], delta_rel)
-    keys = range_idx[rows, cols] * (n + 1) + (region + 1)
+    codes = range_idx[rows, cols] * (n + 1) + (region + 1)
 
-    uniq, first = np.unique(keys, return_index=True)
+    uniq, first, inverse = np.unique(codes, return_index=True, return_inverse=True)
     by_first = np.argsort(first, kind="stable")
-    rank = np.empty(len(uniq), dtype=np.int64)
+    rank = np.empty(len(uniq), dtype=np.uint32)
     rank[by_first] = np.arange(1, len(uniq) + 1)
-    labels = rank[np.searchsorted(uniq, keys)].astype(np.uint32)
-
-    label_table = {}
-    for pos, key in enumerate(uniq[by_first], start=1):
-        label_table[(int(key) // (n + 1), int(key) % (n + 1) - 1)] = pos
-    return SeedMap(pixel_indices=pixel_indices, labels=labels, label_table=label_table)
+    labels = np.zeros((image.height, image.width), dtype=np.uint32)
+    labels[rows * stride, cols * stride] = rank[inverse]
+    keys = [(int(code) // (n + 1), int(code) % (n + 1) - 1) for code in uniq[by_first]]
+    return SeedMap(labels=labels, keys=keys)

@@ -52,13 +52,13 @@ def criterion(name, capsys):
         print(f"[acceptance] {name}: PASS", flush=True)
 
 
-def make_seed_map(pairs):
-    pairs = sorted(pairs)
-    return SeedMap(
-        pixel_indices=np.array([p for p, _ in pairs], dtype=np.int64),
-        labels=np.array([l for _, l in pairs], dtype=np.uint32),
-        label_table={(0, int(l)): int(l) for l in sorted({l for _, l in pairs})},
-    )
+def make_seed_map(width, height, pairs):
+    """Seed raster with label l at each flat index p of the (p, l) pairs."""
+    labels = np.zeros(height * width, dtype=np.uint32)
+    for p, l in pairs:
+        labels[p] = l
+    keys = [(0, l) for l in range(1, int(labels.max(initial=0)) + 1)]
+    return SeedMap(labels=labels.reshape(height, width), keys=keys)
 
 
 # pairwise spectral distances >= 93; each base keeps its balanced/dominant
@@ -89,8 +89,8 @@ def test_wavefront_convergence(capsys):
                 data=np.full((n, n, 2), 120, dtype=np.uint8), depth=8
             )
             center = (n // 2) * n + n // 2
-            seeds = make_seed_map([(center, 1)])
-            grid = init_from_seeds(n, n, seeds)
+            seeds = make_seed_map(n, n, [(center, 1)])
+            grid = init_from_seeds(seeds)
 
             start = time.perf_counter()
             weights = neighbor_weights(image, NeighborhoodKind.MOORE8, EPSILON)
@@ -104,7 +104,7 @@ def test_wavefront_convergence(capsys):
             assert converged
             assert steps == ecc + 1
 
-            ref_grid = init_from_seeds(n, n, seeds)
+            ref_grid = init_from_seeds(seeds)
             ref_labels, ref_theta, ref_steps, ref_converged = reference.run_by_loop(
                 ref_grid.labels,
                 ref_grid.theta,
@@ -160,11 +160,12 @@ def test_strength_monotonicity(capsys):
             count = int(rng.integers(1, 9))
             idx = rng.choice(h * w, size=min(count, h * w), replace=False)
             seeds = make_seed_map(
+                w, h,
                 list(zip(idx.tolist(), rng.integers(1, 7, size=idx.size).tolist()))
             )
             nb = NeighborhoodKind.MOORE8 if run % 2 else NeighborhoodKind.VONNEUMANN4
             weights = neighbor_weights(image, nb, EPSILON)
-            grid = init_from_seeds(w, h, seeds)
+            grid = init_from_seeds(seeds)
             for _ in range(10 * (w + h)):
                 new_grid, changed = evolve_step(grid, weights)
                 if not (new_grid.theta >= grid.theta).all():
@@ -202,10 +203,11 @@ def test_elimination_soundness(capsys):
                 count = int(rng.integers(2, 5))
                 idx = rng.choice(h * w, size=count, replace=False)
                 seeds = make_seed_map(
+                    w, h,
                     list(zip(idx.tolist(), range(1, count + 1)))
                 )
                 weights = neighbor_weights(image, NeighborhoodKind.MOORE8, EPSILON)
-                grid = init_from_seeds(w, h, seeds)
+                grid = init_from_seeds(seeds)
                 grid, _, converged = run_to_convergence(
                     grid, weights, max_iters=10 * (w + h)
                 )

@@ -28,11 +28,13 @@ def image_from(data, depth=8):
     return MultibandImage(data=np.asarray(data, dtype=dtype), depth=depth)
 
 
-def seed_map(pairs):
-    idx = np.array([p for p, _ in pairs], dtype=np.int64)
-    labels = np.array([l for _, l in pairs], dtype=np.uint32)
-    table = {(0, int(l)): int(l) for l in sorted(set(labels.tolist()))}
-    return SeedMap(pixel_indices=idx, labels=labels, label_table=table)
+def seed_map(width, height, pairs):
+    """Seed raster with label l at each flat index p of the (p, l) pairs."""
+    labels = np.zeros(height * width, dtype=np.uint32)
+    for p, l in pairs:
+        labels[p] = l
+    keys = [(0, l) for l in range(1, int(labels.max(initial=0)) + 1)]
+    return SeedMap(labels=labels.reshape(height, width), keys=keys)
 
 
 def weights_for(image, nb=NeighborhoodKind.MOORE8):
@@ -47,7 +49,7 @@ def random_setup(rng, max_side=32, max_bands=4):
     count = int(rng.integers(1, min(h * w, 8) + 1))
     idx = rng.choice(h * w, size=count, replace=False)
     labels = rng.integers(1, 6, size=count)
-    return image, seed_map(sorted(zip(idx.tolist(), labels.tolist())))
+    return image, seed_map(w, h, zip(idx.tolist(), labels.tolist()))
 
 
 def reference_trajectory(grid, image, nb, min_steps=1):
@@ -142,7 +144,7 @@ class TestAutomatonGrid:
 
     def test_nulled_joins_the_freed_cells_and_their_ring(self):
         # the freed cells and their Moore ring join the seed already marked
-        grid = init_from_seeds(6, 4, seed_map([(5, 1), (9, 2), (23, 3)]))
+        grid = init_from_seeds(seed_map(6, 4, [(5, 1), (9, 2), (23, 3)]))
         freed = np.zeros((4, 6), dtype=bool)
         freed[1, 3] = freed[3, 5] = True
         out = grid.nulled(freed)
@@ -161,37 +163,35 @@ class TestAutomatonGrid:
 
 class TestInitFromSeeds:
     def test_single_seed(self):
-        grid = init_from_seeds(2, 2, seed_map([(0, 1)]))
+        grid = init_from_seeds(seed_map(2, 2, [(0, 1)]))
         assert grid.labels.ravel().tolist() == [1, 0, 0, 0]
         assert grid.theta.ravel().tolist() == [1.0, 0.0, 0.0, 0.0]
         assert grid.changed.ravel().tolist() == [True, False, False, False]
 
     def test_no_seeds_is_immediate_fixpoint(self):
-        grid = init_from_seeds(3, 2, seed_map([]))
+        grid = init_from_seeds(seed_map(3, 2, []))
         image = image_from(np.zeros((2, 3, 1)))
         _, changed = evolve_step(grid, weights_for(image))
         assert not changed
 
     def test_fully_seeded_is_fixpoint(self):
-        grid = init_from_seeds(2, 2, seed_map([(0, 1), (1, 1), (2, 2), (3, 2)]))
+        grid = init_from_seeds(seed_map(2, 2, [(0, 1), (1, 1), (2, 2), (3, 2)]))
         image = image_from(np.zeros((2, 2, 1)))
         next_grid, changed = evolve_step(grid, weights_for(image))
         assert not changed
         assert (next_grid.labels == grid.labels).all()
 
-    def test_duplicate_seed_rejected(self):
-        with pytest.raises(ContractError):
-            init_from_seeds(2, 2, seed_map([(1, 1), (1, 2)]))
-
-    def test_out_of_range_seed_rejected(self):
-        with pytest.raises(ContractError):
-            init_from_seeds(2, 2, seed_map([(4, 1)]))
+    def test_grid_does_not_share_the_seed_raster(self):
+        seeds = seed_map(2, 1, [(1, 1)])
+        grid = init_from_seeds(seeds)
+        grid.labels[0, 0] = 1
+        assert seeds.labels.tolist() == [[0, 1]]
 
 
 class TestEvolveStep:
     def test_one_step_colonizes_only_adjacent(self):
         image = image_from(np.full((1, 3, 1), 10))
-        grid = init_from_seeds(3, 1, seed_map([(0, 1)]))
+        grid = init_from_seeds(seed_map(3, 1, [(0, 1)]))
         grid, changed = evolve_step(grid, weights_for(image))
         assert changed
         # uniform image: attack strength 1 reaches cell 1; cell 2's only
@@ -201,7 +201,7 @@ class TestEvolveStep:
 
     def test_dimension_mismatch_rejected(self):
         image = image_from(np.zeros((2, 2, 1)))
-        grid = init_from_seeds(3, 3, seed_map([(0, 1)]))
+        grid = init_from_seeds(seed_map(3, 3, [(0, 1)]))
         with pytest.raises(ContractError):
             evolve_step(grid, weights_for(image))
 
@@ -215,7 +215,7 @@ class TestEvolveStep:
             for _ in range(10):
                 image, seeds = random_setup(rng, max_side=12)
                 weights = weights_for(image, nb)
-                start = init_from_seeds(image.width, image.height, seeds)
+                start = init_from_seeds(seeds)
                 ref = reference_trajectory(start, image, nb, min_steps=6)
                 for chunk, threads in layouts:
                     monkeypatch.setattr(automaton, "_CHUNK", chunk)
@@ -229,7 +229,7 @@ class TestEvolveStep:
         rng = np.random.default_rng(43)
         image, seeds = random_setup(rng, max_side=24)
         weights = weights_for(image)
-        base = init_from_seeds(image.width, image.height, seeds)
+        base = init_from_seeds(seeds)
         results = []
         for threads in (1, 2, 3, 8):
             grid = base
@@ -276,7 +276,7 @@ class TestEvolveStep:
         image, seeds = random_setup(rng, max_side=12)
         weights = weights_for(image, nb)
         w = image.width
-        grid = init_from_seeds(w, image.height, seeds)
+        grid = init_from_seeds(seeds)
         offsets = [dr * w + dc for dr, dc in nb.offsets()]
         sizes = []
         for step in range(image.width + image.height + 1):
@@ -287,7 +287,7 @@ class TestEvolveStep:
             else:
                 attackers = np.flatnonzero(grid.changed).tolist()
             if step == 0:
-                assert attackers == sorted(seeds.pixel_indices.tolist())
+                assert attackers == np.flatnonzero(seeds.labels).tolist()
             passes.clear()
             grid, changed = evolve_step(grid, weights)
             sizes.append(len(attackers))
@@ -301,7 +301,7 @@ class TestEvolveStep:
     @pytest.mark.parametrize("threads", [0, -3])
     def test_thread_count_below_one_rejected(self, threads):
         image = image_from(np.full((2, 3, 1), 10))
-        grid = init_from_seeds(3, 2, seed_map([(0, 1)]))
+        grid = init_from_seeds(seed_map(3, 2, [(0, 1)]))
         weights = weights_for(image)
         with pytest.raises(ContractError, match="threads must be >= 1"):
             evolve_step(grid, weights, threads=threads)
@@ -312,7 +312,7 @@ class TestEvolveStep:
         # two seeds with equal attack strength on the middle cell: the
         # neighbor scanned first (lower row-major offset) must win
         image = image_from(np.full((1, 3, 1), 10))
-        grid = init_from_seeds(3, 1, seed_map([(0, 1), (2, 2)]))
+        grid = init_from_seeds(seed_map(3, 1, [(0, 1), (2, 2)]))
         grid, _ = evolve_step(grid, weights_for(image))
         assert grid.labels[0, 1] == 1
 
@@ -332,7 +332,7 @@ def test_nulled_grid_runs_as_from_an_unknown_history(case):
     rng = np.random.default_rng(seed)
     image, seeds = random_setup(rng, max_side=14)
     weights = weights_for(image, nb)
-    grid = init_from_seeds(image.width, image.height, seeds)
+    grid = init_from_seeds(seeds)
     grid, _, _ = run_to_convergence(grid, weights, max_iters=stop or 1000)
     freed = rng.random(grid.labels.shape) < rng.uniform(0.05, 0.6)
     marked = grid.nulled(freed)
@@ -348,7 +348,7 @@ def test_nulled_grid_runs_as_from_an_unknown_history(case):
 class TestRunToConvergence:
     def test_line_needs_two_passes_plus_verification(self):
         image = image_from(np.full((1, 3, 1), 10))
-        grid = init_from_seeds(3, 1, seed_map([(0, 1)]))
+        grid = init_from_seeds(seed_map(3, 1, [(0, 1)]))
         grid, steps, converged = run_to_convergence(grid, weights_for(image), max_iters=100)
         assert (steps, converged) == (3, True)
         assert (grid.labels == 1).all()
@@ -358,7 +358,7 @@ class TestRunToConvergence:
     def test_wavefront_steps_equal_eccentricity_plus_one(self, n):
         image = image_from(np.full((n, n, 2), 77))
         center = (n // 2) * n + n // 2
-        grid = init_from_seeds(n, n, seed_map([(center, 1)]))
+        grid = init_from_seeds(seed_map(n, n, [(center, 1)]))
         grid, steps, converged = run_to_convergence(
             grid, weights_for(image), max_iters=10 * n
         )
@@ -370,19 +370,19 @@ class TestRunToConvergence:
 
     def test_already_converged_is_one_step(self):
         image = image_from(np.zeros((2, 2, 1)))
-        grid = init_from_seeds(2, 2, seed_map([(i, 1) for i in range(4)]))
+        grid = init_from_seeds(seed_map(2, 2, [(i, 1) for i in range(4)]))
         _, steps, converged = run_to_convergence(grid, weights_for(image), max_iters=10)
         assert (steps, converged) == (1, True)
 
     def test_max_iters_cap_reported(self):
         image = image_from(np.full((1, 5, 1), 10))
-        grid = init_from_seeds(5, 1, seed_map([(0, 1)]))
+        grid = init_from_seeds(seed_map(5, 1, [(0, 1)]))
         _, steps, converged = run_to_convergence(grid, weights_for(image), max_iters=2)
         assert (steps, converged) == (2, False)
 
     def test_invalid_max_iters(self):
         image = image_from(np.zeros((1, 1, 1)))
-        grid = init_from_seeds(1, 1, seed_map([(0, 1)]))
+        grid = init_from_seeds(seed_map(1, 1, [(0, 1)]))
         with pytest.raises(ContractError):
             run_to_convergence(grid, weights_for(image), max_iters=0)
 
@@ -394,8 +394,8 @@ class TestEvolutionInvariants:
             nb = NeighborhoodKind.MOORE8 if trial % 2 else NeighborhoodKind.VONNEUMANN4
             image, seeds = random_setup(rng, max_side=16)
             weights = weights_for(image, nb)
-            grid = init_from_seeds(image.width, image.height, seeds)
-            seed_labels = set(seeds.labels.tolist())
+            grid = init_from_seeds(seeds)
+            seed_labels = set(seeds.labels.ravel().tolist()) - {0}
             for _ in range(10 * (image.width + image.height)):
                 new_grid, changed = evolve_step(grid, weights)
                 assert (new_grid.theta >= grid.theta).all()
@@ -412,7 +412,7 @@ class TestEvolutionInvariants:
         rng = np.random.default_rng(53)
         image, seeds = random_setup(rng, max_side=12)
         weights = weights_for(image)
-        grid = init_from_seeds(image.width, image.height, seeds)
+        grid = init_from_seeds(seeds)
         grid, _, converged = run_to_convergence(grid, weights, max_iters=1000)
         assert converged
         again, changed = evolve_step(grid, weights)
@@ -424,8 +424,8 @@ class TestEvolutionInvariants:
         rng = np.random.default_rng(59)
         for _ in range(10):
             image, _ = random_setup(rng, max_side=12)
-            seeds = seed_map([(0, 1)])
-            grid = init_from_seeds(image.width, image.height, seeds)
+            seeds = seed_map(image.width, image.height, [(0, 1)])
+            grid = init_from_seeds(seeds)
             grid, _, converged = run_to_convergence(
                 grid, weights_for(image), max_iters=10 * (image.width + image.height)
             )
@@ -445,8 +445,8 @@ class TestEvolutionInvariants:
             image = image_from(data)
             left = (rng.integers(0, h) * w + rng.integers(0, split))
             right = (rng.integers(0, h) * w + rng.integers(split, w))
-            seeds = seed_map(sorted([(int(left), 1), (int(right), 2)]))
-            grid = init_from_seeds(w, h, seeds)
+            seeds = seed_map(w, h, [(int(left), 1), (int(right), 2)])
+            grid = init_from_seeds(seeds)
             grid, _, converged = run_to_convergence(
                 grid, weights_for(image), max_iters=10 * (w + h)
             )

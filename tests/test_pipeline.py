@@ -356,6 +356,27 @@ class TestCli:
         assert "unrecognized arguments" in capsys.readouterr().err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["img.bsq", "img.bsq.hdr"]
 
+    @pytest.mark.parametrize("command", ["segment", "seeds"])
+    def test_stray_argument_shows_the_command_usage(self, tmp_path, capsys, command):
+        args = self.segment_args(tmp_path, "x.bsq", "--no-such-flag")
+        args[0] = command
+        with pytest.raises(SystemExit) as err:
+            main(args)
+        assert err.value.code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage: ca-segment {command} ")
+        assert err.endswith(
+            f"ca-segment {command}: error: unrecognized arguments: --no-such-flag\n"
+        )
+
+    def test_deeply_nested_sidecar_exits_2(self, tmp_path, capsys):
+        labels = tmp_path / "labels.u32"
+        labels.write_bytes(b"\x00" * 4)
+        (tmp_path / "labels.u32.json").write_text("[" * 100000)
+        assert main(["stats", "--labels", str(labels)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("ca-segment: error:")
+
     def test_stats_command(self, tmp_path, capsys):
         path = write_envi(tmp_path / "img.bsq", two_region_data())
         assert main(self.segment_args(tmp_path, path)) == 0

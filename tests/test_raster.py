@@ -227,6 +227,14 @@ class TestLabelRaster:
         with pytest.raises(FormatError, match=message):
             load_label_raster(path)
 
+    @pytest.mark.parametrize("sidecar", [b"[" * 100000, b'{"width": %s}' % (b"9" * 5000)],
+                             ids=["deeply-nested", "past-the-int-digit-limit"])
+    def test_sidecar_json_beyond_the_parser_limits_rejected(self, tmp_path, sidecar):
+        path = str(tmp_path / "out.labels")
+        write_label_raster(path, sidecar)
+        with pytest.raises(FormatError, match="invalid label raster sidecar"):
+            load_label_raster(path)
+
     def test_missing_sidecar_rejected(self, tmp_path):
         path = str(tmp_path / "orphan.labels")
         with open(path, "wb") as fh:

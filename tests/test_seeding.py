@@ -184,7 +184,7 @@ class TestGenerateSeeds:
         seeds = generate_seeds(image, [SumRange(140, 160, 150)])
         assert len(seeds) == 24
         assert seeds.label_count == 1
-        assert seeds.label_table == {(0, BALANCED): 1}
+        assert seeds.keys == [(0, BALANCED)]
 
     def test_two_halves_two_dominant_labels(self):
         data = np.empty((4, 8, 3), dtype=np.uint8)
@@ -193,14 +193,20 @@ class TestGenerateSeeds:
         image = image_from(data)
         seeds = generate_seeds(image, [SumRange(0, 765, 220)])
         assert seeds.label_count == 2
-        assert seeds.label_table == {(0, 0): 1, (0, 1): 2}
+        assert seeds.keys == [(0, 0), (0, 1)]
         assert len(seeds) == 32
 
     def test_stride_subsampling(self):
         image = image_from(np.full((4, 4, 3), 50))
         seeds = generate_seeds(image, [SumRange(0, 765, 150)], stride=2)
         assert len(seeds) == 4
-        assert seeds.pixel_indices.tolist() == [0, 2, 8, 10]
+        assert np.flatnonzero(seeds.labels).tolist() == [0, 2, 8, 10]
+
+    def test_no_pixel_in_range_gives_an_empty_raster(self):
+        image = image_from(np.full((2, 3, 3), 50))
+        seeds = generate_seeds(image, [SumRange(0, 100, 50)])
+        assert seeds.labels.tolist() == [[0, 0, 0], [0, 0, 0]]
+        assert seeds.keys == []
 
     def test_empty_range_list_rejected(self):
         image = image_from(np.full((2, 2, 3), 50))
@@ -217,7 +223,7 @@ class TestGenerateSeeds:
         data[0, 1, 0] = 200
         image = image_from(data)
         seeds = generate_seeds(image, [SumRange(150, 255, 200)])
-        assert seeds.pixel_indices.tolist() == [1]
+        assert seeds.labels.tolist() == [[0, 1, 0]]
 
     def test_random_against_loop_oracle(self):
         rng = np.random.default_rng(17)
@@ -237,8 +243,10 @@ class TestGenerateSeeds:
             entries, table = reference.seeds_by_loop(
                 image.data, [(r.lo, r.hi) for r in ranges], delta, stride
             )
-            assert list(zip(seeds.pixel_indices.tolist(), seeds.labels.tolist())) == entries
-            assert seeds.label_table == table
+            idx = np.flatnonzero(seeds.labels)
+            assert seeds.labels.shape == (h, w)
+            assert list(zip(idx.tolist(), seeds.labels.ravel()[idx].tolist())) == entries
+            assert {key: i for i, key in enumerate(seeds.keys, start=1)} == table
 
     def test_label_count_bound(self):
         rng = np.random.default_rng(19)
@@ -261,45 +269,27 @@ class TestGenerateSeeds:
         ranges = select_ranges(compute_sum_histogram(image))
         a = generate_seeds(image, ranges)
         b = generate_seeds(image, ranges)
-        assert (a.pixel_indices == b.pixel_indices).all()
         assert (a.labels == b.labels).all()
-        assert a.label_table == b.label_table
+        assert a.keys == b.keys
 
 
 class TestSeedMapContract:
-    def test_unequal_lengths_rejected(self):
-        with pytest.raises(ContractError, match="equal length"):
-            SeedMap(
-                pixel_indices=np.array([0, 1], dtype=np.int64),
-                labels=np.array([1], dtype=np.uint32),
-            )
-
-    def test_non_flat_arrays_rejected(self):
-        with pytest.raises(ContractError, match="1-D"):
-            SeedMap(
-                pixel_indices=np.array([[0, 1]], dtype=np.int64),
-                labels=np.array([[1, 1]], dtype=np.uint32),
-            )
-
-    def test_null_label_rejected(self):
-        # a label-0 seed would leave cells with strength but no label
-        with pytest.raises(ContractError, match="labels must lie"):
-            SeedMap(
-                pixel_indices=np.array([0, 1], dtype=np.int64),
-                labels=np.array([1, 0], dtype=np.uint32),
-            )
+    def test_non_2d_raster_rejected(self):
+        with pytest.raises(ContractError, match="shape"):
+            SeedMap(labels=np.array([1, 1], dtype=np.uint32), keys=[(0, BALANCED)])
 
     def test_labels_outside_uint32_rejected(self):
+        # ids are stored in a uint32 raster, so a wider one is no seed raster
         for bad in (-1, 2**32):
-            with pytest.raises(ContractError, match="labels must lie"):
-                SeedMap(
-                    pixel_indices=np.array([0, 1], dtype=np.int64),
-                    labels=np.array([1, bad], dtype=np.int64),
-                )
+            with pytest.raises(ContractError, match="dtype"):
+                SeedMap(labels=np.array([[1, bad]], dtype=np.int64), keys=[(0, BALANCED)])
 
-    def test_largest_uint32_label_accepted(self):
-        seeds = SeedMap(
-            pixel_indices=np.array([0, 1], dtype=np.int64),
-            labels=np.array([1, 2**32 - 1], dtype=np.uint32),
-        )
-        assert len(seeds) == 2
+    def test_id_without_key_rejected(self):
+        with pytest.raises(ContractError, match="seed id 3 has no key"):
+            SeedMap(labels=np.array([[1, 3]], dtype=np.uint32), keys=[(0, 0), (0, 1)])
+
+    def test_zero_means_no_seed(self):
+        seeds = SeedMap(labels=np.array([[1, 0], [0, 0]], dtype=np.uint32), keys=[(0, 0)])
+        assert (len(seeds), seeds.label_count) == (1, 1)
+        empty = SeedMap(labels=np.zeros((2, 3), dtype=np.uint32), keys=[])
+        assert (len(empty), empty.label_count) == (0, 0)

@@ -272,11 +272,11 @@ class TestEliminateOversegmentation:
         # end where a grid with no record of changes (every cell evaluated)
         # ends
         def seeded(width, height, pairs):
-            return init_from_seeds(width, height, SeedMap(
-                pixel_indices=np.array([p for p, _ in pairs], dtype=np.int64),
-                labels=np.array([l for _, l in pairs], dtype=np.uint32),
-                label_table={(0, l): l for _, l in pairs},
-            ))
+            labels = np.zeros(height * width, dtype=np.uint32)
+            for p, l in pairs:
+                labels[p] = l
+            keys = [(0, l) for l in range(1, int(labels.max()) + 1)]
+            return init_from_seeds(SeedMap(labels=labels.reshape(height, width), keys=keys))
 
         def eliminate_both(image, grid, min_area):
             weights = moore_weights(image)
