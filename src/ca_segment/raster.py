@@ -14,8 +14,10 @@ Supported containers:
   (0 = unlabeled) and ``<path>.json`` is a sidecar carrying ``width``,
   ``height`` and ``label_count`` as JSON integers.
 
-Loading is strict: any size mismatch between a header and its payload is
-rejected rather than repaired.
+Loading is strict: header numbers must be plain ASCII decimal integers,
+and any size mismatch between a header and its payload, or a sidecar
+``label_count`` that differs from the distinct nonzero ids in the payload,
+is rejected rather than repaired.
 """
 
 from __future__ import annotations
@@ -121,13 +123,24 @@ def _parse_envi_header(text):
     return fields
 
 
+def _decimal(token, what):
+    """The value of a header number written as plain ASCII digits.
+
+    ``int`` would also take a sign, ``_`` separators and non-ASCII digits,
+    which other readers of these formats reject.
+    """
+    if token.isascii() and token.isdigit():
+        try:
+            return int(token)
+        except ValueError:  # past the int digit limit
+            pass
+    raise FormatError(f"{what} is not a plain decimal integer: {token!r}")
+
+
 def _header_int(fields, key):
     if key not in fields:
         raise FormatError(f"ENVI header missing required key '{key}'")
-    try:
-        return int(fields[key])
-    except ValueError:
-        raise FormatError(f"ENVI header key '{key}' is not an integer: {fields[key]!r}")
+    return _decimal(fields[key], f"ENVI header key '{key}'")
 
 
 def _read_utf8(path, what):
@@ -235,10 +248,7 @@ def load_ppm(path) -> MultibandImage:
     if buf[:2] != b"P6":
         raise FormatError("not a binary PPM (P6) file")
     tokens, offset = _ppm_tokens(buf, 3)
-    try:
-        width, height, maxval = (int(t) for t in tokens)
-    except ValueError:
-        raise FormatError("PPM header fields are not integers")
+    width, height, maxval = (_decimal(t, "PPM header field") for t in tokens)
     if width < 1 or height < 1:
         raise FormatError("PPM dimensions must be >= 1")
     if maxval < 1 or maxval > 65535:
@@ -284,7 +294,7 @@ def save_label_raster(raster: LabelRaster, path, label_count: int) -> None:
 
     The sidecar at ``<path>.json`` records width, height and
     ``label_count``, the caller's count of the distinct nonzero ids, so
-    ``load_label_raster`` can rebuild the grid.
+    ``load_label_raster`` can rebuild the grid and check the count.
     """
     payload = raster.labels.astype("<u4", copy=False).tobytes()
     sidecar = {
@@ -320,7 +330,9 @@ def load_label_raster(path) -> LabelRaster:
         raise FormatError(f"invalid label raster sidecar: {exc}")
     if not isinstance(sidecar, dict):
         raise FormatError("label raster sidecar must be a JSON object")
-    width, height = (_sidecar_int(sidecar, key) for key in ("width", "height"))
+    width, height, label_count = (
+        _sidecar_int(sidecar, key) for key in ("width", "height", "label_count")
+    )
     if width < 1 or height < 1:
         raise FormatError("label raster dimensions must be >= 1")
     with open(path, "rb") as fh:
@@ -333,6 +345,12 @@ def load_label_raster(path) -> LabelRaster:
     labels = (
         np.frombuffer(payload, dtype="<u4").reshape(height, width).astype(np.uint32)
     )
+    ids = np.unique(labels)
+    present = ids.size - int(ids[0] == 0)
+    if label_count != present:
+        raise FormatError(
+            f"label raster sidecar declares {label_count} labels, the payload holds {present}"
+        )
     return LabelRaster(labels=labels)
 
 

@@ -83,46 +83,72 @@ def compute_sum_histogram(image: MultibandImage) -> np.ndarray:
     return np.bincount(sums.ravel(), minlength=domain).astype(np.int64, copy=False)
 
 
-def _smooth(counts, window):
-    # centered moving average over an odd window; the window shrinks at the
-    # domain edges so the denominator only counts bins that exist. Interior
-    # bins take one in-place slice of the prefix sums (a 16-bit histogram's
-    # temporaries are megabytes); only the 2 * half edge bins need clipping.
-    half = window // 2
-    n = len(counts)
-    csum = np.zeros(n + 1, dtype=np.float64)
-    np.cumsum(counts, dtype=np.float64, out=csum[1:])
-    out = np.empty(n, dtype=np.float64)
-    np.subtract(csum[window:], csum[:-window], out=out[half : n - half])
-    out[half : n - half] /= window
-    edge = np.concatenate((np.arange(min(half, n)), np.arange(max(half, n - half), n)))
-    lo = np.maximum(edge - half, 0)
-    hi = np.minimum(edge + half, n - 1)
-    out[edge] = (csum[hi + 1] - csum[lo]) / (hi - lo + 1)
-    return out
+def _window_means(occupied, counts, length, window):
+    """The centered moving average of a histogram, as runs of equal means.
 
+    ``occupied`` holds the histogram's nonzero bins in ascending order,
+    ``counts`` their counts and ``length`` its bin count. The window
+    shrinks at the domain edges, so the denominator only counts bins that
+    exist. Returns ``(starts, means)``: the bins from ``starts[i]`` up to
+    the next start (or the domain end) all have the mean ``means[i]``, and
+    neighbouring runs differ; the first run starts at bin 0.
 
-def _plateau_peaks(smoothed):
-    """Indices of local maxima, one per maximal run of equal values.
-
-    A run qualifies when every existing outside neighbor is strictly
-    smaller; a run covering the whole domain (flat signal) never does.
-    The reported index is the run's middle bin (lower-middle for even
-    runs), so a smoothed spike stays centered on its source bin.
+    A window sum changes only where an occupied bin enters the window,
+    ``half`` bins before it, or leaves it, ``half + 1`` bins after it, and
+    the denominator only within ``half`` bins of an edge, so only those
+    bins can start a run. The sums are exact integers, so each mean is the
+    same quotient the float cumulative sums of a dense average gave.
     """
-    s = np.asarray(smoothed)
-    change = np.flatnonzero(s[1:] != s[:-1])
-    starts = np.concatenate(([0], change + 1))
-    ends = np.concatenate((change, [s.size - 1]))
+    half = min(window // 2, length)  # a wider window covers the domain all the same
+    index = np.int32 if length < 2**30 else np.int64  # bins, and sums of two bins, fit
+    occupied = occupied.astype(index, copy=False)
+    k = occupied.size
+    leave = occupied.searchsorted(length - half - 1)  # bins that leave inside the domain
+    at = np.concatenate((
+        np.maximum(occupied - half, 0),
+        occupied[:leave] + (half + 1),
+        np.arange(min(half + 1, length), dtype=index),
+        np.arange(max(length - half, 0), length, dtype=index),
+    ))
+    step = np.zeros(at.size, dtype=np.int64)
+    step[:k] = counts
+    np.negative(counts[:leave], out=step[k : k + leave])
+    order = at.argsort(kind="stable")
+    at = at[order]
+    sums = step[order].cumsum()
+    # each bin's sum is the running sum after its last step
+    last = np.empty(at.size, dtype=bool)
+    last[-1] = True
+    np.not_equal(at[1:], at[:-1], out=last[:-1])
+    last = last.nonzero()[0]
+    starts = at[last]
+    width = np.minimum(starts + half, length - 1) - np.maximum(starts - half, 0) + 1
+    means = sums[last] / width
+    differ = np.empty(means.size, dtype=bool)
+    differ[0] = True
+    np.not_equal(means[1:], means[:-1], out=differ[1:])
+    differ = differ.nonzero()[0]
+    return starts[differ], means[differ]
+
+
+def _run_peaks(starts, values, length):
+    """Local maxima of a signal given as runs; one middle bin per run.
+
+    The run ``i`` covers bins ``starts[i]`` up to the next start (or
+    ``length``) and holds ``values[i]``; neighbouring runs differ. A run
+    qualifies when every existing outside neighbour is strictly smaller;
+    a run covering the whole domain (flat signal) never does. Returns the
+    qualifying runs' indices and middle bins (lower-middle for even runs),
+    so a smoothed spike stays centered on its source bin.
+    """
     if starts.size < 2:  # one run spans the whole domain
-        return np.empty(0, dtype=np.int64)
-    vals = s[starts]
-    # neighbouring runs differ, so a run's outside neighbours are the values
-    # of the runs before and after it
-    left_ok = np.concatenate(([True], vals[:-1] < vals[1:]))
-    right_ok = np.concatenate((vals[1:] < vals[:-1], [True]))
-    keep = left_ok & right_ok
-    return (starts[keep] + ends[keep]) // 2
+        empty = np.empty(0, dtype=np.int64)
+        return empty, empty
+    left_ok = np.concatenate(([True], values[:-1] < values[1:]))
+    right_ok = np.concatenate((values[1:] < values[:-1], [True]))
+    runs = np.flatnonzero(left_ok & right_ok)
+    ends = np.append(starts[1:], length) - 1
+    return runs, (starts[runs] + ends[runs]) // 2
 
 
 def select_ranges(
@@ -143,6 +169,15 @@ def select_ranges(
     ``peak +- half_width`` clamped to the domain. Overlapping ranges merge,
     keeping the taller constituent's peak. If no peak qualifies the whole
     domain is returned as a single range.
+
+    A smoothed value is nonzero only within ``smooth_window // 2`` bins of
+    an occupied (nonzero) bin, and between the bins where an occupied bin
+    enters or leaves the window it is constant. So after one scan for the
+    occupied bins the smoothed histogram is built as runs of equal values,
+    zero runs filling the gaps between occupied bins, and the peaks are
+    found among those runs. The cost is O(occupied log occupied +
+    smooth_window) after that scan, not O(bins): a 16-bit, 8-band histogram
+    has 524 281 bins, of which a scene may occupy a few percent.
     """
     counts = np.asarray(hist, dtype=np.int64)
     if counts.ndim != 1 or counts.size == 0:
@@ -154,23 +189,25 @@ def select_ranges(
     if min_separation < 1 or half_width < 1 or max_peaks < 1:
         raise ContractError("min_separation, half_width and max_peaks must be positive")
 
-    smoothed = _smooth(counts, smooth_window)
-    floor = prominence_frac * smoothed.max()
-    peaks = _plateau_peaks(smoothed)
-    candidates = peaks[smoothed[peaks] >= floor]
+    length = counts.size
+    occupied = (counts != 0).nonzero()[0]  # the one pass over every bin
+    starts, means = _window_means(occupied, counts[occupied], length, smooth_window)
+    runs, peaks = _run_peaks(starts, means, length)
+    tall = means[runs] >= prominence_frac * means.max()
+    candidates, heights = peaks[tall], means[runs[tall]]
 
-    last = len(counts) - 1
+    last = length - 1
     if candidates.size == 0:
-        top = int(np.argmax(smoothed))
-        return [SumRange(0, last, top)]
+        return [SumRange(0, last, int(starts[means.argmax()]))]
 
-    # tallest first, ties toward the lower sum; an acceptance never depends
-    # on later candidates, so the scan stops once max_peaks are accepted
-    candidates = candidates[np.lexsort((candidates, -smoothed[candidates]))]
-    accepted = []
-    for p in candidates.tolist():
+    # tallest first, ties toward the lower sum (candidates ascend); an
+    # acceptance never depends on later candidates, so the scan stops once
+    # max_peaks are accepted
+    order = np.argsort(-heights, kind="stable")
+    accepted = {}  # peak bin -> smoothed height
+    for p, height in zip(candidates[order].tolist(), heights[order].tolist()):
         if all(abs(p - q) >= min_separation for q in accepted):
-            accepted.append(p)
+            accepted[p] = height
             if len(accepted) == max_peaks:
                 break
 
@@ -181,7 +218,7 @@ def select_ranges(
     for lo, hi, peak in ranges[1:]:
         mlo, mhi, mpeak = merged[-1]
         if lo <= mhi:
-            if (smoothed[peak], -peak) > (smoothed[mpeak], -mpeak):
+            if (accepted[peak], -peak) > (accepted[mpeak], -mpeak):
                 mpeak = peak
             merged[-1] = (mlo, max(mhi, hi), mpeak)
         else:

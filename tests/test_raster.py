@@ -71,6 +71,18 @@ class TestPpm:
         with pytest.raises(UnsupportedFormatError):
             load_ppm(path)
 
+    @pytest.mark.parametrize("field", [0, 1, 2])
+    @pytest.mark.parametrize("value", ["+2", "2_55", "\u0662", "-2", "2.0", "0x2"])
+    def test_header_numbers_must_be_ascii_decimal(self, tmp_path, field, value):
+        # int() reads "+2", "2_55" and Arabic-Indic "\u0662" as numbers
+        fields = ["2", "1", "255"]
+        fields[field] = value
+        path = str(tmp_path / "img.ppm")
+        with open(path, "wb") as fh:
+            fh.write(("P6\n%s %s\n%s\n" % tuple(fields)).encode() + b"\x00" * 6)
+        with pytest.raises(FormatError, match="not a plain decimal integer"):
+            load_ppm(path)
+
     def test_bad_magic(self, tmp_path):
         path = str(tmp_path / "img.ppm")
         with open(path, "wb") as fh:
@@ -131,6 +143,21 @@ class TestEnviBsq:
             fh.write("samples = 2\nlines = 2\nbands = 1\ndata type = 4\n")
         with pytest.raises(UnsupportedFormatError):
             load_image(path)
+
+    @pytest.mark.parametrize("value", ["1_0", "+10", "\u0661\u0660", "10.0", "1 0", "0x0a"])
+    def test_header_numbers_must_be_ascii_decimal(self, tmp_path, value):
+        # int() reads "1_0", "+10" and Arabic-Indic "\u0661\u0660" as 10
+        path = str(tmp_path / "cube")
+        with open(path, "wb") as fh:
+            fh.write(b"\x00" * 10)
+        header = "ENVI\nsamples = %s\nlines = 1\nbands = 1\ndata type = 1\n"
+        with open(path + ".hdr", "w", encoding="utf-8") as fh:
+            fh.write(header % value)
+        with pytest.raises(FormatError, match="'samples' is not a plain decimal integer"):
+            load_image(path)
+        with open(path + ".hdr", "w", encoding="utf-8") as fh:
+            fh.write(header % "10")
+        assert load_image(path).width == 10
 
     def test_missing_key(self, tmp_path):
         path = str(tmp_path / "cube")
@@ -206,14 +233,30 @@ class TestLabelRaster:
     def test_sidecar_dimensions_must_be_json_integers(self, tmp_path, value):
         # a 16-byte payload fits 2 x 2, so only the type check can reject
         path = str(tmp_path / "out.labels")
-        write_label_raster(path, b'{"width": %s, "height": 2}' % value.encode())
+        write_label_raster(path, b'{"width": %s, "height": 2, "label_count": 0}' % value.encode())
         with pytest.raises(FormatError, match="'width' is not an integer"):
             load_label_raster(path)
-        write_label_raster(path, b'{"width": 2, "height": %s}' % value.encode())
+        write_label_raster(path, b'{"width": 2, "height": %s, "label_count": 0}' % value.encode())
         with pytest.raises(FormatError, match="'height' is not an integer"):
             load_label_raster(path)
-        write_label_raster(path, b'{"width": 2, "height": 2}')
+        write_label_raster(path, b'{"width": 2, "height": 2, "label_count": 0}')
         assert load_label_raster(path).labels.shape == (2, 2)
+
+    @pytest.mark.parametrize("value", ["2.0", '"2"', "true", "null", "0", "3", "-1"])
+    def test_sidecar_label_count_must_match_the_payload(self, tmp_path, value):
+        # the payload holds ids 0, 7, 7 and 9: two labels
+        path = str(tmp_path / "out.labels")
+        payload = np.array([0, 7, 7, 9], dtype="<u4").tobytes()
+        write_label_raster(path, b'{"width": 2, "height": 2, "label_count": %s}' % value.encode(),
+                           payload)
+        with pytest.raises(FormatError, match="label_count|declares"):
+            load_label_raster(path)
+        write_label_raster(path, b'{"width": 2, "height": 2}', payload)
+        with pytest.raises(FormatError, match="missing required key 'label_count'"):
+            load_label_raster(path)
+        write_label_raster(path, b'{"width": 2, "height": 2, "label_count": 1}',
+                           np.array([0, 7, 7, 7], dtype="<u4").tobytes())
+        assert load_label_raster(path).labels.tolist() == [[0, 7], [7, 7]]
 
     @pytest.mark.parametrize("sidecar, message", [
         (b'{"height": 2}', "missing required key 'width'"),

@@ -155,15 +155,17 @@ def save_labels(labels, path):
 
 
 def loads_as_declared(path):
-    """A raster loads only with JSON integer dimensions that match its shape."""
+    """A raster loads only with JSON integer dimensions that match its shape
+    and a JSON integer ``label_count`` equal to its distinct nonzero ids."""
     try:
         raster = load_label_raster(path)
     except FormatError:
         return
     sidecar = json.loads(read(path + ".json"))
-    width, height = sidecar["width"], sidecar["height"]
-    assert type(width) is int and type(height) is int
+    width, height, count = sidecar["width"], sidecar["height"], sidecar["label_count"]
+    assert type(width) is int and type(height) is int and type(count) is int
     assert raster.labels.shape == (height, width)
+    assert count == len(set(raster.labels.flat) - {0})
 
 
 @FUZZ

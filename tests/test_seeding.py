@@ -129,6 +129,43 @@ class TestSelectRanges:
             got = [(r.lo, r.hi, r.peak) for r in select_ranges(hist, **params)]
             assert got == reference.select_ranges_by_scan(hist, **params)
 
+    @staticmethod
+    def sparse_16bit_histogram(length):
+        # the 16-bit, 8-band domain's occupancy: about 10 700 of 524 281 bins
+        # hold a few pixels each, and ten tall clusters stand out
+        rng = np.random.default_rng(421)
+        hist = np.zeros(length, dtype=np.int64)
+        occupied = rng.choice(524281, size=10700, replace=False)
+        hist[occupied] = rng.integers(1, 4, size=occupied.size)
+        for center in rng.choice(np.arange(100, 524181, 20), size=10, replace=False):
+            hist[center - 3 : center + 4] += rng.integers(20, 200, size=7)
+        hist[[0, 524280]] = 2
+        return hist
+
+    def test_16bit_domain_against_scan_oracle(self):
+        hist = self.sparse_16bit_histogram(524281)
+        got = [(r.lo, r.hi, r.peak) for r in select_ranges(hist, max_peaks=16)]
+        assert len(got) == 10
+        assert got == reference.select_ranges_by_scan(hist, 5, 0.05, 10, 5, 16)
+
+    def test_peak_memory_grows_by_the_one_scan(self):
+        # the same occupied bins in a domain four times as long: the smoothing
+        # and the peak search work on the occupied bins, so only the scan
+        # for them (one byte per bin) may grow with the domain
+        import tracemalloc
+
+        peaks = []
+        for length in (524281, 4 * 524281):
+            hist = self.sparse_16bit_histogram(length)
+            ranges = select_ranges(hist)
+            tracemalloc.start()
+            try:
+                assert select_ranges(hist) == ranges
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] - peaks[0] <= 3 * 524281 + 64 * 1024, peaks
+
 
 class TestClassify:
     def test_equal_levels_balanced(self):
