@@ -121,9 +121,16 @@ def neighbor_weights(image: MultibandImage, nb: NeighborhoodKind, epsilon: float
     data under about 33 000 bands), int64 otherwise. Below 2⁵³ (16-bit
     data under about 2·10⁶ bands) float64 holds every partial sum exactly
     too, so the correctly rounded square root equals that of a float64 sum
-    in any order bit for bit. The mirrored half of the offsets copies the
-    computed half, so the attack from q on p weighs exactly what the attack
-    from p on q does.
+    in any order bit for bit.
+
+    Only the first half of the offsets is computed, each plane into one
+    zeroed buffer with w + 1 cells of padding on either side. The attack
+    from q on p weighs exactly what the attack from p on q does, so the
+    flat plane of the mirrored offset (−dr, −dc) is the computed one read
+    dr·w + dc cells earlier: a neighbor off the top or bottom reads
+    padding, and one off the left or right edge reads the computed plane's
+    own zero column in the next or previous row. Mirrored planes are views
+    of the buffer.
     """
     if not 0 < epsilon < 1:
         raise ContractError("epsilon must lie strictly between 0 and 1")
@@ -131,29 +138,34 @@ def neighbor_weights(image: MultibandImage, nb: NeighborhoodKind, epsilon: float
     top = image.max_level
     kind = np.int32 if n * top * top < 2**31 else np.int64
     data = image.data.transpose(2, 0, 1).astype(np.int32, order="C")
+    offsets = nb.offsets()
+    half = offsets[: len(offsets) // 2]
+    pad = w + 1
+    buf = np.zeros((len(half), h * w + 2 * pad), dtype=np.float64)
+    sq_buf, diff_buf = np.empty(h * w, dtype=kind), np.empty(h * w, dtype=kind)
     planes = {}
-    for dr, dc in nb.offsets():
+    for (dr, dc), row in zip(half, buf):
         r0, r1 = max(0, -dr), h - max(0, dr)
         c0, c1 = max(0, -dc), w - max(0, dc)
-        plane = np.zeros((h, w), dtype=np.float64)
-        mirror = planes.get((-dr, -dc))
-        if mirror is not None:
-            plane[r0:r1, c0:c1] = mirror[r0 + dr : r1 + dr, c0 + dc : c1 + dc]
-        else:
-            cell = data[:, r0:r1, c0:c1]
-            neigh = data[:, r0 + dr : r1 + dr, c0 + dc : c1 + dc]
-            sq = np.zeros((r1 - r0, c1 - c0), dtype=kind)
-            diff = np.empty_like(sq)
-            for b in range(n):
-                np.subtract(cell[b], neigh[b], out=diff)
-                np.multiply(diff, diff, out=diff)
-                sq += diff
-            d = np.sqrt(sq, dtype=np.float64)
-            d /= image.max_distance
-            np.subtract(1.0, d, out=d)
-            plane[r0:r1, c0:c1] = np.maximum(epsilon, d, out=d)
-        planes[dr, dc] = plane
-    return [(dr, dc, plane) for (dr, dc), plane in planes.items()]
+        cells = (r1 - r0) * (c1 - c0)
+        sq = sq_buf[:cells].reshape(r1 - r0, c1 - c0)
+        diff = diff_buf[:cells].reshape(sq.shape)
+        sq[...] = 0
+        cell = data[:, r0:r1, c0:c1]
+        neigh = data[:, r0 + dr : r1 + dr, c0 + dc : c1 + dc]
+        for b in range(n):
+            np.subtract(cell[b], neigh[b], out=diff)
+            np.multiply(diff, diff, out=diff)
+            sq += diff
+        planes[dr, dc] = row[pad : pad + h * w].reshape(h, w)
+        d = planes[dr, dc][r0:r1, c0:c1]
+        np.sqrt(sq, out=d)
+        d /= image.max_distance
+        np.subtract(1.0, d, out=d)
+        np.maximum(epsilon, d, out=d)
+        off = dr * w + dc
+        planes[-dr, -dc] = row[pad - off : pad - off + h * w].reshape(h, w)
+    return [(dr, dc, planes[dr, dc]) for dr, dc in offsets]
 
 
 def _attack(off, plane, cells, labels, theta, new_labels, new_theta):

@@ -279,7 +279,7 @@ def run_segment(config: PipelineConfig) -> RunReport:
         if config.out_preview:
             raster.save_preview(
                 image,
-                LabelRaster(labels=final.seg_map),
+                LabelRaster(labels=final.id_raster()),
                 [row["signature"] for row in seg_rows],
                 preview,
                 config.out_preview,

@@ -7,10 +7,14 @@ undersized segment. Each surviving segment is summarized by the member
 pixel vector with the least total Euclidean distance to the rest of the
 segment.
 
-Extraction labels all values at once: row runs of equal label are linked
-to touching equal runs one row down, and each root is hooked under the
+A segment is its row runs: the ascending flat starts and the lengths of
+the maximal same-label stretches of one row that it holds. Extraction
+finds the nonzero runs in one pass over the pixels and links each run to
+the equal runs it touches one row up, then hooks each root under the
 smallest root it touches until no link crosses two roots. Run ids are
 row-major, so a component's root, its smallest run, holds its first pixel.
+No per-pixel map of segment ids is kept; ``SegmentSet.id_raster`` paints
+one on demand.
 """
 
 from __future__ import annotations
@@ -26,51 +30,93 @@ from .raster import LabelRaster, MultibandImage
 
 @dataclass
 class Segment:
-    """One connected same-label region; pixels are ascending flat indices."""
+    """One connected same-label region as its row runs.
+
+    ``starts`` holds the ascending flat indices where its runs begin and
+    ``lengths`` their lengths; a run never leaves its row.
+    """
 
     id: int
     label: int
-    pixels: np.ndarray
+    starts: np.ndarray
+    lengths: np.ndarray
 
     @property
     def area(self) -> int:
-        return self.pixels.size
+        return int(self.lengths.sum())
+
+    @property
+    def pixels(self) -> np.ndarray:
+        """The members' ascending flat indices, expanded from the runs."""
+        before = np.cumsum(self.lengths) - self.lengths
+        return np.repeat(self.starts - before, self.lengths) + np.arange(self.area)
 
 
 @dataclass
 class SegmentSet:
-    """Segments plus the (height, width) map from pixel to segment id (0 = none)."""
+    """The segments of a raster of ``shape`` (height, width), in id order."""
 
     segments: list[Segment]
-    seg_map: np.ndarray
+    shape: tuple[int, int]
 
     def __len__(self) -> int:
         return len(self.segments)
 
+    def id_raster(self) -> np.ndarray:
+        """Paint the uint32 raster of segment ids, 0 outside every segment."""
+        # each run adds its id where it starts and takes it back where it ends
+        marks = np.zeros(int(np.prod(self.shape)) + 1, dtype=np.int64)
+        for seg in self.segments:
+            marks[seg.starts] += seg.id
+            marks[seg.starts + seg.lengths] -= seg.id
+        return np.cumsum(marks[:-1]).astype(np.uint32).reshape(self.shape)
 
-def _segment_ids(lab: np.ndarray, connectivity: NeighborhoodKind) -> np.ndarray:
-    """Per-pixel segment ids (0 = null), numbered from 1 by first pixel."""
+
+def _row_runs(lab: np.ndarray):
+    """Flat starts, lengths and labels of the nonzero row runs, ascending."""
     h, w = lab.shape
     start = np.ones((h, w), dtype=bool)
     np.not_equal(lab[:, 1:], lab[:, :-1], out=start[:, 1:])
-    run_of = np.cumsum(start.ravel()).reshape(h, w) - 1
-    run_label = lab[start]
+    starts = np.flatnonzero(start)
+    lengths = np.diff(starts, append=h * w)
+    labels = lab.reshape(-1)[starts]
+    keep = labels != 0
+    return starts[keep], lengths[keep], labels[keep]
 
-    # cell (r, c) links its run to the run at (r + 1, c + dc) when both
-    # hold the same nonzero label; its left neighbour links the same two
-    # runs unless one of them starts at this cell, so only those are kept
-    tops, bottoms = [], []
-    for dc in (dc for dr, dc in connectivity.offsets() if dr == 1):
-        tc = slice(max(0, -dc), w - max(0, dc))
-        bc = slice(max(0, dc), w - max(0, -dc))
-        top = lab[:-1, tc]
-        link = (top == lab[1:, bc]) & (top != 0) & (start[:-1, tc] | start[1:, bc])
-        tops.append(run_of[:-1, tc][link])
-        bottoms.append(run_of[1:, bc][link])
-    u = np.concatenate(tops)
-    v = np.concatenate(bottoms)
 
-    parent = np.arange(run_label.size)
+def _links(starts, lengths, labels, w: int, connectivity: NeighborhoodKind):
+    """(upper, lower) run pairs of equal label that touch across a row.
+
+    The runs a run touches one row up overlap its columns, widened by one
+    on each side under Moore connectivity but never past its own row's
+    ends, so no link wraps from column w − 1 to column 0. Runs ascend and
+    are disjoint, so the touched runs are the contiguous range of those
+    ending after its first touched cell and starting before its last.
+    """
+    reach = 1 if connectivity is NeighborhoodKind.MOORE8 else 0
+    ends = starts + lengths
+    row_start = starts - starts % w
+    lo = np.maximum(starts - w - reach, row_start - w)
+    hi = np.minimum(ends - w + reach, row_start)
+    first = np.searchsorted(ends, lo, side="right")
+    count = np.maximum(np.searchsorted(starts, hi, side="left") - first, 0)
+    lower = np.repeat(np.arange(starts.size), count)
+    upper = np.arange(lower.size) - np.repeat(np.cumsum(count) - count - first, count)
+    same = labels[upper] == labels[lower]
+    return upper[same], lower[same]
+
+
+def extract_segments(labels: LabelRaster, connectivity: NeighborhoodKind) -> SegmentSet:
+    """Decompose the raster into connected components of equal nonzero label.
+
+    Segment ids are assigned from 1 in row-major order of each component's
+    first pixel, so extraction is deterministic.
+    """
+    lab = labels.labels
+    starts, lengths, run_label = _row_runs(lab)
+    u, v = _links(starts, lengths, run_label, lab.shape[1], connectivity)
+
+    parent = np.arange(starts.size)
     while u.size:
         ru, rv = parent[u], parent[v]
         cross = ru != rv
@@ -82,29 +128,16 @@ def _segment_ids(lab: np.ndarray, connectivity: NeighborhoodKind) -> np.ndarray:
             parent = parent[parent]
 
     # counting roots in run order numbers components by first pixel
-    is_root = (parent == np.arange(run_label.size)) & (run_label != 0)
-    seg_of_run = np.where(run_label != 0, np.cumsum(is_root)[parent], 0)
-    return seg_of_run.astype(np.uint32)[run_of]
-
-
-def extract_segments(labels: LabelRaster, connectivity: NeighborhoodKind) -> SegmentSet:
-    """Decompose the raster into connected components of equal nonzero label.
-
-    Segment ids are assigned from 1 in row-major order of each component's
-    first pixel, so extraction is deterministic.
-    """
-    lab = labels.labels
-    seg_map = _segment_ids(lab, connectivity)
-
-    flat = seg_map.ravel()
-    order = np.argsort(flat, kind="stable")
-    bounds = np.cumsum(np.bincount(flat))
-    flat_labels = lab.ravel()
+    seg_of_run = np.cumsum(parent == np.arange(starts.size))[parent]
+    order = np.argsort(seg_of_run, kind="stable")
+    bounds = np.cumsum(np.bincount(seg_of_run))
     segments = []
     for sid in range(1, bounds.size):
-        pixels = order[bounds[sid - 1] : bounds[sid]]
-        segments.append(Segment(id=sid, label=int(flat_labels[pixels[0]]), pixels=pixels))
-    return SegmentSet(segments=segments, seg_map=seg_map)
+        runs = order[bounds[sid - 1] : bounds[sid]]
+        segments.append(Segment(
+            id=sid, label=int(run_label[runs[0]]), starts=starts[runs], lengths=lengths[runs]
+        ))
+    return SegmentSet(segments=segments, shape=lab.shape)
 
 
 def null_small_segments(grid: AutomatonGrid, segs: SegmentSet, min_area: int):
@@ -114,17 +147,15 @@ def null_small_segments(grid: AutomatonGrid, segs: SegmentSet, min_area: int):
     """
     if min_area < 1:
         raise ContractError("min_area must be >= 1")
-    if segs.seg_map.shape != grid.labels.shape:
+    if segs.shape != grid.labels.shape:
         raise ContractError("segment set does not match the grid dimensions")
-    freed = np.zeros(grid.labels.size, dtype=bool)
-    cleared = 0
-    for seg in segs.segments:
-        if seg.area < min_area:
-            freed[seg.pixels] = True
-            cleared += 1
-    if not cleared:
+    small = [seg for seg in segs.segments if seg.area < min_area]
+    if not small:
         return grid, 0
-    return grid.nulled(freed.reshape(grid.labels.shape)), cleared
+    freed = np.zeros(grid.labels.size, dtype=bool)
+    for seg in small:
+        freed[seg.pixels] = True
+    return grid.nulled(freed.reshape(grid.labels.shape)), len(small)
 
 
 def eliminate_oversegmentation(

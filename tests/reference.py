@@ -115,11 +115,14 @@ def select_ranges_by_scan(counts, smooth_window, prominence_frac, min_separation
         return [(0, length - 1, top)]
 
     peaks.sort(key=lambda p: (-smoothed[p], p))
+    # a peak's acceptance depends only on the taller peaks before it, so the
+    # scan stops once max_peaks are kept
     kept = []
     for p in peaks:
+        if len(kept) == max_peaks:
+            break
         if all(abs(p - q) >= min_separation for q in kept):
             kept.append(p)
-    kept = kept[:max_peaks]
 
     spans = sorted(
         (max(0, p - half_width), min(length - 1, p + half_width), p) for p in kept
@@ -250,6 +253,87 @@ def components_by_bfs(labels, offsets):
                         queue.append((nr, nc))
             comps.append(sorted(members))
     return comps
+
+
+def segment_by_loop(data, depth, config):
+    """The whole segment run of ``config`` over the (h, w, bands) ``data``.
+
+    Chains the loop stages above: the band-sum histogram, the range scan,
+    the seeds, the colonization, then elimination rounds (null every
+    component below ``config.min_area``, rerun the colonization, relabel)
+    and each final component's medoid. ``config`` needs the attributes of a
+    pipeline configuration. A reconvergence stopped by the iteration cap is
+    not reported, as in the package.
+
+    Returns a dict of the label raster, the first colonization's steps and
+    convergence, the component counts before and after elimination, the
+    cleared count per round and the segment rows (id, label, area,
+    signature), or None where the package refuses the run: no seeds, no
+    labeled segment or every segment below ``min_area`` in some round.
+    """
+    h, w, n = data.shape
+    counts = histogram_by_loop(data, depth)
+    ranges = select_ranges_by_scan(
+        counts, config.smooth_window, config.prominence_frac, config.min_separation,
+        config.half_width, config.max_peaks,
+    )
+    entries, _ = seeds_by_loop(data, [(lo, hi) for lo, hi, _ in ranges],
+                               config.delta_rel, config.stride)
+    if not entries:
+        return None
+    labels = np.zeros((h, w), dtype=np.uint32)
+    theta = np.zeros((h, w), dtype=np.float64)
+    for p, label in entries:
+        labels[p // w, p % w] = label
+        theta[p // w, p % w] = 1.0
+
+    offsets = MOORE8 if config.neighborhood.value == "moore" else VONNEUMANN4
+    d_max = ((1 << depth) - 1) * math.sqrt(n)
+    max_iters = config.max_iters or 10 * (w + h)
+
+    def colonize(labels, theta):
+        return run_by_loop(labels, theta, data, offsets, config.epsilon, d_max, max_iters)
+
+    labels, theta, steps, converged = colonize(labels, theta)
+    comps = components_by_bfs(labels, offsets)
+    before = len(comps)
+    cleared = []
+    for _ in range(config.max_rounds):
+        small = [members for members in comps if len(members) < config.min_area]
+        if len(small) == len(comps):  # no segment, or none to regrow from
+            return None
+        if not small:
+            break
+        for members in small:
+            for p in members:
+                labels[p // w, p % w] = 0
+                theta[p // w, p % w] = 0.0
+        labels, theta, _, _ = colonize(labels, theta)
+        comps = components_by_bfs(labels, offsets)
+        cleared.append(len(small))
+
+    vectors = data.reshape(-1, n)
+    rows = []
+    for sid, members in enumerate(comps, start=1):
+        sample = members
+        if len(members) > 4096:  # the documented even-stride subsample
+            sample = [members[i * len(members) // 4096] for i in range(4096)]
+        best = sample[medoid_by_bruteforce(vectors[sample])]
+        rows.append({
+            "id": sid,
+            "label": int(labels.flat[members[0]]),
+            "area": len(members),
+            "signature": [int(v) for v in vectors[best]],
+        })
+    return {
+        "labels": labels,
+        "steps": steps,
+        "converged": converged,
+        "segments_before": before,
+        "segments_after": len(comps),
+        "cleared_per_round": cleared,
+        "segments": rows,
+    }
 
 
 def medoid_by_bruteforce(vectors):

@@ -132,6 +132,24 @@ class TestNeighborWeights:
             assert plane.dtype == np.float64
             assert (plane == expected).all()
 
+    @pytest.mark.parametrize("nb", list(NeighborhoodKind))
+    @pytest.mark.parametrize("shape", [(5, 7, 2), (1, 9, 2), (9, 1, 2), (1, 1, 1)])
+    def test_mirrored_planes_are_shifted_views(self, nb, shape):
+        # the plane of (dr, dc) at (r, c) is its partner's at (r + dr, c + dc)
+        # and zero where that cell is off the grid; both are views of one
+        # buffer, though on a 1-row or 1-column grid they need not overlap
+        h, w, _ = shape
+        image = image_from(np.random.default_rng(71).integers(0, 256, size=shape))
+        planes = {(dr, dc): plane for dr, dc, plane in weights_for(image, nb)}
+        offsets = nb.offsets()
+        for dr, dc in offsets[len(offsets) // 2 :]:
+            plane, partner = planes[dr, dc], planes[-dr, -dc]
+            assert plane.base is not None and plane.base is partner.base
+            padded = np.zeros((h + 2, w + 2))
+            padded[1:-1, 1:-1] = partner
+            want = padded[1 + dr : 1 + dr + h, 1 + dc : 1 + dc + w]
+            assert plane.tobytes() == want.tobytes()
+
 
 class TestAutomatonGrid:
     def test_changed_mask_checked(self):

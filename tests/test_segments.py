@@ -45,11 +45,27 @@ def moore_weights(image):
 
 def assert_extraction_of(segs, labels, connectivity=NeighborhoodKind.MOORE8):
     fresh = extract_segments(LabelRaster(labels=labels), connectivity)
-    assert (segs.seg_map == fresh.seg_map).all()
+    assert segs.shape == fresh.shape == labels.shape
+    assert (segs.id_raster() == fresh.id_raster()).all()
     assert len(segs) == len(fresh)
     for got, want in zip(segs.segments, fresh.segments):
         assert (got.id, got.label, got.area) == (want.id, want.label, want.area)
+        assert got.starts.tolist() == want.starts.tolist()
+        assert got.lengths.tolist() == want.lengths.tolist()
         assert got.pixels.tolist() == want.pixels.tolist()
+
+
+def assert_runs_are_rows(segs, labels):
+    """Each segment's runs lie in one row each, ascend, are disjoint and sum to its area."""
+    w = labels.shape[1]
+    for seg in segs.segments:
+        starts, lengths = seg.starts, seg.lengths
+        assert starts.size == lengths.size >= 1
+        assert (lengths >= 1).all()
+        assert ((starts + lengths - 1) // w == starts // w).all()
+        assert (starts[1:] >= starts[:-1] + lengths[:-1]).all()
+        assert int(lengths.sum()) == seg.area
+        assert (labels.ravel()[seg.pixels] == seg.label).all()
 
 
 class TestExtractSegments:
@@ -60,7 +76,7 @@ class TestExtractSegments:
         assert segs.segments[0].pixels.tolist() == [0, 1]
         assert segs.segments[1].label == 2
         assert segs.segments[1].pixels.tolist() == [2, 3]
-        assert segs.seg_map.tolist() == [[1, 1], [2, 2]]
+        assert segs.id_raster().tolist() == [[1, 1], [2, 2]]
 
     def test_checkerboard_splits_under_edge_connectivity(self):
         rows = [[1 + (r + c) % 2 for c in range(4)] for r in range(4)]
@@ -81,12 +97,29 @@ class TestExtractSegments:
         segs = extract_segments(raster([[1, 0, 1]]), NeighborhoodKind.MOORE8)
         assert len(segs) == 2
         assert all(s.label == 1 for s in segs.segments)
-        assert segs.seg_map.tolist() == [[1, 0, 2]]
+        assert segs.id_raster().tolist() == [[1, 0, 2]]
+
+    def test_links_do_not_wrap_across_row_ends(self):
+        # in flat order, the last column of a row is next to the first of
+        # the next row; a diagonal from the last column of row 0 reaches
+        # column 0 of row 2, and one from column 0 of row 1 the last column
+        # of row 1; only the last grid has segments of more than one pixel
+        cases = [
+            ([[0, 0, 1], [1, 0, 0], [0, 0, 1]], [[2], [3], [8]]),
+            ([[0, 0, 1], [0, 0, 0], [1, 0, 0]], [[2], [6]]),
+            ([[0, 0, 0], [1, 0, 1]], [[3], [5]]),
+            ([[2, 2, 1], [1, 2, 2], [1, 1, 2]], [[0, 1, 4, 5, 8], [2], [3, 6, 7]]),
+        ]
+        for rows, members in cases:
+            for nb in NeighborhoodKind:
+                segs = extract_segments(raster(rows), nb)
+                assert [s.pixels.tolist() for s in segs.segments] == members, (rows, nb)
+                assert_matches_bfs(np.asarray(rows, dtype=np.uint32), nb)
 
     def test_all_null(self):
         segs = extract_segments(raster([[0, 0], [0, 0]]), NeighborhoodKind.MOORE8)
         assert len(segs) == 0
-        assert (segs.seg_map == 0).all()
+        assert (segs.id_raster() == 0).all()
 
     def test_matches_bfs_oracle(self):
         rng = np.random.default_rng(67)
@@ -98,10 +131,11 @@ class TestExtractSegments:
                 segs = extract_segments(raster(labels), nb)
                 expected = reference.components_by_bfs(labels, nb.offsets())
                 assert len(segs) == len(expected)
+                assert_runs_are_rows(segs, labels)
                 for seg, members in zip(segs.segments, expected):
                     assert seg.pixels.tolist() == members
                     assert seg.area == len(members)
-                    assert (segs.seg_map.ravel()[members] == seg.id).all()
+                    assert (segs.id_raster().ravel()[members] == seg.id).all()
                 assert sum(s.area for s in segs.segments) == int((labels != 0).sum())
 
 
@@ -116,8 +150,10 @@ def assert_matches_bfs(labels, connectivity):
     want_map = np.zeros(labels.size, dtype=np.uint32)
     for sid, members in enumerate(expected, start=1):
         want_map[members] = sid
-    assert segs.seg_map.dtype == np.uint32
-    assert segs.seg_map.tolist() == want_map.reshape(labels.shape).tolist()
+    assert segs.shape == labels.shape
+    assert segs.id_raster().dtype == np.uint32
+    assert segs.id_raster().tolist() == want_map.reshape(labels.shape).tolist()
+    assert_runs_are_rows(segs, labels)
 
 
 @st.composite
@@ -171,7 +207,7 @@ def test_empty_raster_has_no_segments(shape):
     for nb in NeighborhoodKind:
         segs = extract_segments(raster(np.zeros(shape, dtype=np.uint32)), nb)
         assert len(segs) == 0
-        assert segs.seg_map.shape == shape and segs.seg_map.dtype == np.uint32
+        assert segs.id_raster().shape == shape and segs.id_raster().dtype == np.uint32
 
 
 class TestNullSmallSegments:
@@ -262,8 +298,8 @@ class TestEliminateOversegmentation:
         )
         assert (rounds, cleared) == (1, [1])
         assert_extraction_of(segs, out.labels)
-        assert int((segs.seg_map == 0).sum()) == 256
-        assert (segs.seg_map[12:28, 12:28] == 0).all()
+        assert int((segs.id_raster() == 0).sum()) == 256
+        assert (segs.id_raster()[12:28, 12:28] == 0).all()
         assert [s.area for s in segs.segments] == [1600 - 256]
 
     def test_capped_run_eliminates_as_if_history_were_unknown(self):
