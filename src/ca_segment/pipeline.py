@@ -10,7 +10,7 @@ from __future__ import annotations
 import contextlib
 import json
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -88,7 +88,10 @@ class RunReport:
     timings: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {k: v for k, v in asdict(self).items() if v is not None}
+        """The stats keys; the label and segment rows are the report's own, not copies."""
+        out = {f.name: getattr(self, f.name) for f in fields(self)}
+        out["ranges"] = [asdict(r) for r in self.ranges]
+        return {k: v for k, v in out.items() if v is not None}
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"

@@ -15,6 +15,12 @@ smallest root it touches until no link crosses two roots. Run ids are
 row-major, so a component's root, its smallest run, holds its first pixel.
 No per-pixel map of segment ids is kept; ``SegmentSet.id_raster`` paints
 one on demand.
+
+A segment's signature is its medoid. Only the rows of distances that could
+hold the least sum are computed: a second-order bound around a Weiszfeld
+point bounds every member's sum before the first row, and the tangent
+planes of computed rows refine it. ``medoid_signature`` derives both bounds
+and the rounding slack that keeps the result exact.
 """
 
 from __future__ import annotations
@@ -204,6 +210,8 @@ def eliminate_oversegmentation(
 # Bytes of distances per matmul in the plain blocks: 32 rows of a 4 096-member segment.
 _BLOCK_BYTES = 1024 * 1024
 _BATCH_ROWS = 16  # rows per bounded batch
+_BUCKETS = 8  # distance buckets of the curvature bound
+_TINY = 2.0**-1022  # the smallest normal float
 
 
 def _distance_rows(left, right_t, rows):
@@ -235,6 +243,41 @@ def _tangent_bounds(dist, sums, vectors, rows, targets, max_dist):
     return tangents.max(axis=0)
 
 
+def _curvature_bounds(points, norms, max_dist):
+    """The members by distance from μ, and lower bounds, less the slack, on their sums.
+
+    ``points`` holds the member vectors as C-contiguous columns and
+    ``norms`` their squared norms. ``medoid_signature`` derives the bound
+    and slack.
+    """
+    n, m = points.shape
+    mu = points.sum(axis=1) / m
+    # Weiszfeld steps from the mean; distances floored at 1 keep a member at
+    # the point from taking an infinite weight
+    for _ in range(2):
+        w = norms - 2 * (mu @ points)
+        w += mu @ mu
+        w = np.reciprocal(np.sqrt(np.maximum(w, 1.0, out=w), out=w), out=w)
+        mu = points @ w / w.sum()
+    h = points - mu[:, None]  # column j is x_j − μ
+    h2 = h * h
+    dist = np.sqrt(h2.sum(axis=0))
+    order = np.argsort(dist)
+    ranked = dist[order]
+    units = np.take(h, order, axis=1)
+    units /= np.maximum(ranked, _TINY)  # −u_k by rank, 0 for a member at μ
+    buckets = min(_BUCKETS, m)
+    size = m // buckets  # the m mod buckets farthest members join no bucket
+    blocks = units[:, : buckets * size].reshape(n, buckets, size).transpose(1, 0, 2)
+    gram = blocks @ blocks.transpose(0, 2, 1)
+    half = 0.5 * (size - np.abs(gram).sum(axis=2))
+    curv = np.maximum(half @ h2, 0.0)  # each bucket's true term is never negative
+    curv /= np.add.outer(ranked[size - 1 : buckets * size : size] + _TINY, dist)
+    slack = 2.0**-48 * np.sqrt(n) * m * (m + n + 8) * max_dist
+    low = curv.sum(axis=0) - units.sum(axis=1) @ h + (dist.sum() - slack)
+    return order, low[order]
+
+
 def medoid_signature(image: MultibandImage, pixels, sample_cap: int = 4096) -> np.ndarray:
     """Member vector minimizing the summed Euclidean distance to the segment.
 
@@ -254,16 +297,37 @@ def medoid_signature(image: MultibandImage, pixels, sample_cap: int = 4096) -> n
     summation depends on that layout, so the sums, and the argmin on a
     tie, are fixed by it.
 
-    Only rows that could hold the minimum are computed. F(y) = Σₖ‖y − xₖ‖
-    is convex and S(j) = F(xⱼ), so row i gives the tangent bound
-    S(j) ≥ S(i) + gᵢ·(xⱼ − xᵢ), where the subgradient (Weiszfeld's slope)
-    gᵢ = Σ (xᵢ − xₖ)/d(i, k) over xₖ ≠ xᵢ is xᵢ·Σw − w·X with w = 1/d.
-    Batches of ``_BATCH_ROWS`` rows go nearest the band-wise mean first,
-    then lowest bound first, and bound the live members by one matmul. A
-    member equal to a computed one has that row bit for bit, so it takes
-    its sum; one whose bound less the slack is strictly above the best sum
-    is dropped. Once a batch settles no member but its own, the rest are
-    computed in plain blocks of ``_BLOCK_BYTES``.
+    Only rows that could hold the minimum are computed, ``_BATCH_ROWS``
+    at a time. A member equal to a computed one has that row bit for bit,
+    so it takes its sum; one whose bound less the slack is strictly above
+    the best sum is dropped. Two lower bounds on the sum S(j) of member j
+    serve.
+
+    The curvature bound seeds every member's bound before any row is
+    computed. Take μ two Weiszfeld steps from the band-wise mean (the bound
+    holds for any μ) and, for each member, aₖ = μ − xₖ, dₖ = ‖aₖ‖ and
+    uₖ = aₖ/dₖ (0 where dₖ = 0). For y = μ + h, ‖aₖ + h‖ = √(A² + p²) with
+    A = dₖ + uₖ·h and p² = ‖h‖² − (uₖ·h)², and √(A² + p²) − A is at least
+    p²/(√(A² + p²) + |A|), where √(A² + p²) and |A| are at most dₖ + ‖h‖, so
+    ‖aₖ + h‖ ≥ dₖ + uₖ·h + (‖h‖² − (uₖ·h)²)/(2(dₖ + ‖h‖)).
+    The last term is never negative, so it may be dropped or shrunk. By
+    rank of dₖ the members fill G = min(``_BUCKETS``, m) buckets of ⌊m/G⌋,
+    and the m mod G farthest, whose terms are dropped, fill none. A bucket
+    g of |g| members, reach D_g = max dₖ and Gram matrix M_g = Σ uₖuₖᵀ adds
+    at least (|g|·‖h‖² − hᵀM_g h)/(2(D_g + ‖h‖)), and by Gershgorin's
+    theorem hᵀM_g h ≤ Σᵢ c_gi·hᵢ² with c_gi = Σₗ |(M_g)ᵢₗ|. So
+    S(μ + h) ≥ Σdₖ + h·Σuₖ + Σ_g max(0, Σᵢ (|g| − c_gi)·hᵢ²)/(2(D_g + ‖h‖)).
+    Each D_g is raised by the smallest normal float, so a bucket and a
+    member both at μ give 0 rather than 0/0. The first batch is the
+    members nearest μ.
+
+    Each batch then gives the tangent bound. F(y) = Σₖ‖y − xₖ‖ is convex
+    and S(j) = F(xⱼ), so row i gives S(j) ≥ S(i) + gᵢ·(xⱼ − xᵢ), where the
+    subgradient (Weiszfeld's slope) gᵢ = Σ (xᵢ − xₖ)/d(i, k) over xₖ ≠ xᵢ is
+    xᵢ·Σw − w·X with w = 1/d. Only a batch that leaves members live
+    computes it, for them alone, in one matmul, and the next batch takes
+    the lowest bounds. Once a batch settles no member but its own, the
+    rest are computed in plain blocks of ``_BLOCK_BYTES``.
 
     The slack covers rounding. Let u = 2⁻⁵³, L = 2^depth − 1 and D = √n·L
     for n bands, the largest distance; ‖gᵢ‖ < m and |gᵢ·x| ≤ m·D. Roots are
@@ -274,8 +338,23 @@ def medoid_signature(image: MultibandImage, pixels, sample_cap: int = 4096) -> n
     norm. Times ‖xⱼ − xᵢ‖ ≤ D, plus n·m·u·D for each dot product with gᵢ and
     3m·u·D for each of three additions, a bound and the two sums compared
     are off by at most u·D·(2m² + (2m + 1)·D·Σw + (2n + 12)·m). The slack,
-    2⁻⁴⁸·(m + n + 6)·D·(m + D·Σw), is 16 times that or more, term by term,
-    so a dropped member's computed sum exceeds the best: every member that
+    2⁻⁴⁸·(m + n + 6)·D·(m + D·Σw), is 16 times that or more, term by term.
+
+    Only evaluating the curvature bound rounds: μ is whatever float vector
+    the steps give. It is a convex combination of the members, so each dₖ
+    and ‖h‖ is at most D up to a factor 1 + (m + 2)·u. Computed distances
+    are off by (n + 2)·u·D and units by (n + 4)·u, so Σdₖ is off by
+    (m² + (n + 2)·m)·u·D and h·Σuₖ by (m² + (2n + 5)·m)·u·D. A unit's
+    1-norm is at most √n, so c_gi ≤ √n·|g|, and the units' error with the
+    Gram product's rounding moves c_gi by √n·|g|·(|g| + 3n + 10)·u/2.
+    Through the product with hᵢ², the division by D_g + ‖h‖ ≥ ‖h‖ and the
+    sum over the buckets, the curvature term is off by
+    √n·u·D·(m²/2 + (4.5n + 25)·m). With the last three additions and the
+    computed sum compared, the two are off by at most
+    u·D·((3 + √n)·m² + (3n + 13 + √n·(5n + 28))·m). The slack,
+    2⁻⁴⁸·√n·m·(m + n + 8)·D, is more than 4 times that, term by term.
+
+    So a dropped member's computed sum exceeds the best: every member that
     could hold the minimum is computed or copied, and the argmin, lowest
     index first, is the one over all m rows.
     """
@@ -292,26 +371,34 @@ def medoid_signature(image: MultibandImage, pixels, sample_cap: int = 4096) -> n
     flat = image.data.reshape(-1, image.bands)
     vectors = flat[idx].astype(np.float64)
     m = vectors.shape[0]
-    norms = np.einsum("ij,ij->i", vectors, vectors)[:, None]
-    left = np.hstack((-2.0 * vectors, norms, np.ones((m, 1))))
-    right_t = np.hstack((vectors, np.ones((m, 1)), norms)).T
+    norms = np.einsum("ij,ij->i", vectors, vectors)
+    left = np.column_stack((-2.0 * vectors, norms, np.ones(m)))
+    right_t = np.empty((image.bands + 2, m))  # C order: each band is one contiguous row
+    right_t[:-2] = vectors.T
+    right_t[-2] = 1.0
+    right_t[-1] = norms
     max_dist = image.max_distance
     sums = np.full(m, np.inf)
-    rest = np.arange(m)  # members neither settled nor dropped
-    low = np.full(m, -np.inf)  # lower bounds on their sums
-    order = norms[:, 0] - 2 * (vectors @ (vectors.sum(axis=0) / m))  # |x − mean|² less a constant
-    while rest.size:
-        batch = rest[np.argpartition(order, min(_BATCH_ROWS, rest.size) - 1)[:_BATCH_ROWS]]
+    # the members neither settled nor dropped, nearest μ first, and lower bounds on their sums
+    rest, low = _curvature_bounds(right_t[:-2], norms, max_dist)
+    batch = rest[:_BATCH_ROWS]
+    while True:
         dist, sums[batch] = _distance_rows(left, right_t, batch)
         copy = np.flatnonzero(dist == 0)  # a member equal to a computed one has its row
         sums[copy % m] = sums[batch[copy // m]]
-        np.maximum(low, _tangent_bounds(dist, sums[batch], vectors, batch, rest, max_dist), out=low)
-        live = (sums[rest] == np.inf) & ~(low > sums.min())
-        if np.count_nonzero(live) + batch.size == rest.size:
-            rest = rest[live]
-            break  # the batch settled no other member: the rest go in plain blocks
+        best = sums.min()
+        live = (sums[rest] == np.inf) & ~(low > best)
+        if live.any():
+            low[live] = np.maximum(
+                low[live],
+                _tangent_bounds(dist, sums[batch], vectors, batch, rest[live], max_dist),
+            )
+            live &= ~(low > best)
+        settled = rest.size - np.count_nonzero(live) > batch.size
         rest, low = rest[live], low[live]
-        order = low
+        if not (settled and rest.size):
+            break  # done, or the batch settled no other member: the rest go in plain blocks
+        batch = rest[np.argpartition(low, min(_BATCH_ROWS, rest.size) - 1)[:_BATCH_ROWS]]
     block = max(1, min(m, _BLOCK_BYTES // (8 * m)))
     for start in range(0, rest.size, block):
         rows = rest[start : start + block]

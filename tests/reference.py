@@ -82,12 +82,18 @@ def select_ranges_by_scan(counts, smooth_window, prominence_frac, min_separation
     counts = [int(c) for c in counts]
     length = len(counts)
     half = smooth_window // 2
+    # a running integer sum of the clipped window, so every quotient is the
+    # exact window sum over the window length
     smoothed = []
+    total = sum(counts[: half + 1])
     for i in range(length):
         lo = max(0, i - half)
         hi = min(length - 1, i + half)
-        window = counts[lo : hi + 1]
-        smoothed.append(sum(window) / len(window))
+        smoothed.append(total / (hi - lo + 1))
+        if i + half + 1 < length:
+            total += counts[i + half + 1]
+        if i - half >= 0:
+            total -= counts[i - half]
 
     # plateau-aware local maxima: each run of equal values is one candidate,
     # reported at its middle bin (lower-middle for even runs), qualifying when

@@ -87,7 +87,7 @@ def example_scene(rows, depth=8, **settings):
 WRAP_ROWS = [[50, 200, 50], [200, 200, 200], [50, 200, 200], [200, 50, 200]]
 
 
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=100, deadline=None)
 @given(scenes())
 # three rounds: the capped first colonization leaves segments that each
 # round's capped regrowth splits again

@@ -548,11 +548,13 @@ class TestMedoidSignature:
     def test_pruning_skips_rows(self, monkeypatch):
         # every oracle test passes with pruning turned off, so count the rows
         rows = []
+        batches = []
         compute = segments._distance_rows
 
         def spy(left, right_t, which):
             dist, sums = compute(left, right_t, which)
             rows.extend(which.tolist())
+            batches.append(which.size)
             return dist, sums
 
         monkeypatch.setattr(segments, "_distance_rows", spy)
@@ -563,6 +565,16 @@ class TestMedoidSignature:
         rows.clear()
         medoid_signature(image, np.arange(2047))
         assert 0 < len(rows) < 2047 // 8
+
+        # a textured 16-bit, 8-band segment, like a sparse-scene region: the
+        # curvature bound settles it within two batches, where tangent planes
+        # alone took four
+        batches.clear()
+        rng = np.random.default_rng(0)
+        data = rng.normal(rng.integers(20000, 45000, size=8), 4000, size=(40, 40, 8))
+        image = MultibandImage(data=np.clip(np.rint(data), 0, 65535).astype(np.uint16), depth=16)
+        medoid_signature(image, np.arange(1600))
+        assert 0 < len(batches) <= 2
 
         # a member equal to a computed one takes that row's sum, so identical
         # members compute one batch
@@ -643,6 +655,58 @@ def test_bounded_medoid_matches_bruteforce(case):
         got = medoid_signature(image, np.arange(m))
     vectors = image.data[0]
     assert got.tolist() == vectors[reference.medoid_by_bruteforce(vectors)].tolist()
+
+
+def members_at_mu(bands, top):
+    """Member sets whose bounds touch their sums at μ.
+
+    The centre of a symmetric star, on which μ sits to within rounding, so
+    its bound is its sum less little more than the slack; all members
+    equal; one and two members; and buckets whose members and targets all
+    sit at μ, where D_g + ‖h‖ is 0.
+    """
+    centre = np.full(bands, top // 2)
+    star = [centre]
+    for axis in np.eye(bands, dtype=np.int64):
+        star.extend(centre + step * axis for step in (-3, 3, -(top // 3), top // 3))
+    return [
+        np.array(star),
+        np.broadcast_to(centre, (9, bands)),
+        centre[None],
+        np.array([centre, centre + 1]),
+        np.array([centre] * 4 + [centre + 5, centre - 5] * 6),
+        np.array([[0] * bands, [top] * bands] * 5 + [centre] * 3),
+    ]
+
+
+@pytest.mark.parametrize("depth", (8, 16))
+@pytest.mark.parametrize("kind", ("uniform", "clustered", "extremes", "at_mu"))
+def test_curvature_bounds_never_exceed_row_sums(depth, kind):
+    # every bound, less its slack, is at most the member's computed sum
+    rng = np.random.default_rng(109)
+    top = (1 << depth) - 1
+    for bands in (*range(1, 13), 64, 255):
+        cases = members_at_mu(bands, top) if kind == "at_mu" else []
+        while kind != "at_mu" and len(cases) < 4:
+            m = int(rng.integers(1, 300 if bands <= 12 else 80))
+            if kind == "uniform":
+                vectors = rng.integers(0, top + 1, size=(m, bands))
+            elif kind == "clustered":
+                centres = rng.integers(0, top + 1, size=(int(rng.integers(1, 4)), bands))
+                noise = rng.integers(-(top // 40), top // 40 + 1, size=(m, bands))
+                vectors = np.clip(centres[rng.integers(0, len(centres), size=m)] + noise, 0, top)
+            else:
+                palette = rng.choice([0, top], size=(int(rng.integers(2, 6)), bands))
+                vectors = palette[rng.permutation(np.arange(m) % len(palette))]
+            cases.append(vectors)
+        for vectors in cases:
+            vectors = np.asarray(vectors, dtype=np.float64)
+            order, low = segments._curvature_bounds(
+                np.ascontiguousarray(vectors.T), (vectors * vectors).sum(axis=1), np.sqrt(bands) * top
+            )
+            assert sorted(order.tolist()) == list(range(len(vectors)))
+            sums = reference.distance_sums_by_blocks(vectors)[order]
+            assert np.isfinite(low).all() and (low <= sums).all(), (bands, len(vectors))
 
 
 @pytest.mark.parametrize("depth", (8, 16))
