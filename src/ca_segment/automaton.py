@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import enum
 import functools
-import itertools
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -168,7 +167,7 @@ def neighbor_weights(image: MultibandImage, nb: NeighborhoodKind, epsilon: float
     return [(dr, dc, planes[dr, dc]) for dr, dc in offsets]
 
 
-def _attack(off, plane, cells, labels, theta, new_labels, new_theta):
+def _attack(off, plane, cells, labels, theta, new_labels, new_theta, changed):
     """Push the attacks of the flat ``cells`` on their neighbors ``cells - off``.
 
     ``plane`` is the flat plane of the mirrored offset −off, so
@@ -178,7 +177,7 @@ def _attack(off, plane, cells, labels, theta, new_labels, new_theta):
     ``labels`` and ``theta`` are the attackers' old states. Targets are
     distinct, so writing each strict win keeps the running maximum and the
     last strict win in ``new_theta`` and ``new_labels``, as the sequential
-    scan does. Returns the targets won.
+    scan does. Each target won is marked in ``changed``.
     """
     target = cells - off
     att = plane.take(cells)
@@ -188,7 +187,7 @@ def _attack(off, plane, cells, labels, theta, new_labels, new_theta):
     hit = target.take(win)
     new_theta[hit] = att.take(win)
     new_labels[hit] = labels.take(win)
-    return hit
+    changed[hit] = True
 
 
 @functools.lru_cache(maxsize=None)
@@ -205,9 +204,10 @@ def evolve_step(grid: AutomatonGrid, weights, threads: int = 1):
     stronger than its target, so it cannot strictly win. The offsets are
     taken in their fixed order; for each, the attackers are cut into chunks
     of ``_CHUNK`` cells, which run on up to ``threads`` workers and hit
-    disjoint targets. The result is independent of both. The new grid's
-    ``changed`` holds the cells that moved, the only ones whose attacks can
-    win the next step.
+    disjoint targets. The result is independent of both. Each chunk marks
+    the targets it wins in the new grid's ``changed``: the cells that
+    moved, the only ones whose attacks can win the next step. The input
+    grid is left untouched.
     """
     if threads < 1:
         raise ContractError("threads must be >= 1")
@@ -222,26 +222,22 @@ def evolve_step(grid: AutomatonGrid, weights, threads: int = 1):
     cells = np.flatnonzero(grid.changed)
     old_labels, old_theta = labels.take(cells), theta.take(cells)
     new_labels, new_theta = labels.copy(), theta.copy()
+    changed = np.zeros(h * w, dtype=bool)
     chunks = [slice(i, i + _CHUNK) for i in range(0, cells.size, _CHUNK)]
-    workers = min(threads, len(chunks))
+    jobs = _pool(threads).map if threads > 1 and len(chunks) > 1 else map
 
     def run(part, off, plane):
-        return _attack(
-            off, plane, cells[part], old_labels[part], old_theta[part], new_labels, new_theta
-        )
+        _attack(off, plane, cells[part], old_labels[part], old_theta[part],
+                new_labels, new_theta, changed)
 
-    hits = []
     for dr, dc, _ in weights:
-        jobs = (chunks, itertools.repeat(dr * w + dc), itertools.repeat(planes[-dr, -dc]))
-        hits.extend(_pool(workers).map(run, *jobs) if workers > 1 else map(run, *jobs))
-    changed = np.zeros(h * w, dtype=bool)
-    for hit in hits:
-        changed[hit] = True
+        # every chunk of one offset lands before the next offset starts
+        list(jobs(functools.partial(run, off=dr * w + dc, plane=planes[-dr, -dc]), chunks))
     new_grid = AutomatonGrid(
         labels=new_labels.reshape(h, w), theta=new_theta.reshape(h, w),
         changed=changed.reshape(h, w),
     )
-    return new_grid, any(hit.size for hit in hits)
+    return new_grid, bool(changed.any())
 
 
 def run_to_convergence(grid: AutomatonGrid, weights, max_iters: int, threads: int = 1):
@@ -252,12 +248,8 @@ def run_to_convergence(grid: AutomatonGrid, weights, max_iters: int, threads: in
     """
     if max_iters < 1:
         raise ContractError("max_iters must be >= 1")
-    steps = 0
-    converged = False
-    while steps < max_iters:
-        grid, changed = evolve_step(grid, weights, threads=threads)
-        steps += 1
-        if not changed:
-            converged = True
-            break
-    return grid, steps, converged
+    for steps in range(1, max_iters + 1):
+        grid, moved = evolve_step(grid, weights, threads=threads)
+        if not moved:
+            return grid, steps, True
+    return grid, max_iters, False

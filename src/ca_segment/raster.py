@@ -345,8 +345,9 @@ def load_label_raster(path) -> LabelRaster:
     labels = (
         np.frombuffer(payload, dtype="<u4").reshape(height, width).astype(np.uint32)
     )
-    ids = np.unique(labels)
-    present = ids.size - int(ids[0] == 0)
+    # distinct nonzero ids from one sorted copy: plain np.unique imports numpy.ma
+    ids = np.sort(labels, axis=None)
+    present = int(np.count_nonzero(ids[1:] != ids[:-1])) + int(ids[0] != 0)
     if label_count != present:
         raise FormatError(
             f"label raster sidecar declares {label_count} labels, the payload holds {present}"

@@ -207,8 +207,6 @@ def eliminate_oversegmentation(
     return grid, len(cleared_per_round), cleared_per_round, segs
 
 
-# Bytes of distances per matmul in the plain blocks: 32 rows of a 4 096-member segment.
-_BLOCK_BYTES = 1024 * 1024
 _BATCH_ROWS = 16  # rows per bounded batch
 _BUCKETS = 8  # distance buckets of the curvature bound
 _TINY = 2.0**-1022  # the smallest normal float
@@ -218,7 +216,7 @@ def _distance_rows(left, right_t, rows):
     """Distances from the members ``rows`` to every member, and their sums.
 
     Each row of the result is a C-contiguous array of length m, so its
-    sum does not depend on which batch or block computes it.
+    sum does not depend on which batch computes it.
     """
     dist = left[rows] @ right_t
     np.sqrt(dist, out=dist)
@@ -285,7 +283,7 @@ def medoid_signature(image: MultibandImage, pixels, sample_cap: int = 4096) -> n
     ``sample_cap`` are reduced to a deterministic evenly strided subsample
     of exactly ``sample_cap`` members before the quadratic scan.
 
-    Each block of squared distances is one matmul over augmented vectors,
+    Each batch of squared distances is one matmul over augmented vectors,
     [-2a, |a|², 1] · [b, 1, |b|²]ᵀ = |a|² + |b|² − 2·a·b. This is exact:
     samples are integers of at most 16 bits, so every term is an integer
     and every partial sum is bounded by the sum of the terms' magnitudes,
@@ -326,8 +324,7 @@ def medoid_signature(image: MultibandImage, pixels, sample_cap: int = 4096) -> n
     subgradient (Weiszfeld's slope) gᵢ = Σ (xᵢ − xₖ)/d(i, k) over xₖ ≠ xᵢ is
     xᵢ·Σw − w·X with w = 1/d. Only a batch that leaves members live
     computes it, for them alone, in one matmul, and the next batch takes
-    the lowest bounds. Once a batch settles no member but its own, the
-    rest are computed in plain blocks of ``_BLOCK_BYTES``.
+    the lowest bounds, until no member is live.
 
     The slack covers rounding. Let u = 2⁻⁵³, L = 2^depth − 1 and D = √n·L
     for n bands, the largest distance; ‖gᵢ‖ < m and |gᵢ·x| ≤ m·D. Roots are
@@ -394,14 +391,9 @@ def medoid_signature(image: MultibandImage, pixels, sample_cap: int = 4096) -> n
                 _tangent_bounds(dist, sums[batch], vectors, batch, rest[live], max_dist),
             )
             live &= ~(low > best)
-        settled = rest.size - np.count_nonzero(live) > batch.size
         rest, low = rest[live], low[live]
-        if not (settled and rest.size):
-            break  # done, or the batch settled no other member: the rest go in plain blocks
+        if not rest.size:
+            break
         batch = rest[np.argpartition(low, min(_BATCH_ROWS, rest.size) - 1)[:_BATCH_ROWS]]
-    block = max(1, min(m, _BLOCK_BYTES // (8 * m)))
-    for start in range(0, rest.size, block):
-        rows = rest[start : start + block]
-        _, sums[rows] = _distance_rows(left, right_t, rows)
     best = int(np.argmin(sums))  # first minimum = lowest pixel index
     return flat[idx[best]].copy()

@@ -79,46 +79,14 @@ def select_ranges_by_scan(counts, smooth_window, prominence_frac, min_separation
 
     Returns (lo, hi, peak) tuples.
     """
-    counts = [int(c) for c in counts]
     length = len(counts)
-    half = smooth_window // 2
-    # a running integer sum of the clipped window, so every quotient is the
-    # exact window sum over the window length
-    smoothed = []
-    total = sum(counts[: half + 1])
-    for i in range(length):
-        lo = max(0, i - half)
-        hi = min(length - 1, i + half)
-        smoothed.append(total / (hi - lo + 1))
-        if i + half + 1 < length:
-            total += counts[i + half + 1]
-        if i - half >= 0:
-            total -= counts[i - half]
-
-    # plateau-aware local maxima: each run of equal values is one candidate,
-    # reported at its middle bin (lower-middle for even runs), qualifying when
-    # every existing outside neighbor is strictly smaller; a run spanning
-    # everything never qualifies
-    peaks = []
-    i = 0
-    while i < length:
-        j = i
-        while j + 1 < length and smoothed[j + 1] == smoothed[i]:
-            j += 1
-        drop_left = i == 0 or smoothed[i - 1] < smoothed[i]
-        drop_right = j == length - 1 or smoothed[j + 1] < smoothed[i]
-        if drop_left and drop_right and not (i == 0 and j == length - 1):
-            peaks.append((i + j) // 2)
-        i = j + 1
-
+    # float64 prefix sums of integer counts are exact, so every quotient is
+    # the exact window sum over the window length
+    smoothed = smooth_by_gather(counts, smooth_window).tolist()
     floor = prominence_frac * max(smoothed)
-    peaks = [p for p in peaks if smoothed[p] >= floor]
+    peaks = [p for p in plateau_peaks_by_loop(smoothed) if smoothed[p] >= floor]
     if not peaks:
-        top = 0
-        for i in range(length):
-            if smoothed[i] > smoothed[top]:
-                top = i
-        return [(0, length - 1, top)]
+        return [(0, length - 1, smoothed.index(max(smoothed)))]
 
     peaks.sort(key=lambda p: (-smoothed[p], p))
     # a peak's acceptance depends only on the taller peaks before it, so the

@@ -239,9 +239,13 @@ class TestEvolveStep:
                     monkeypatch.setattr(automaton, "_CHUNK", chunk)
                     grid = start
                     for ref_labels, ref_theta in ref:
+                        before = grid
                         grid, _ = evolve_step(grid, weights, threads=threads)
                         assert (grid.labels == ref_labels).all()
                         assert (grid.theta == ref_theta).all()
+                        # changed holds exactly the cells that moved, no more
+                        moved = (grid.labels != before.labels) | (grid.theta != before.theta)
+                        assert (grid.changed == moved).all()
 
     def test_thread_counts_bit_identical(self, monkeypatch):
         rng = np.random.default_rng(43)

@@ -448,6 +448,29 @@ class TestCli:
         # numpy.ma costs 15-25 ms to import and nothing here needs it
         assert proc.stdout.splitlines()[-2:] == ["[]", "False"]
 
+    def test_no_command_imports_numpy_ma(self, tmp_path):
+        # plain np.unique imports numpy.ma (15-25 ms) on first use; segment,
+        # seeds and stats run in one fresh interpreter and none may load it
+        path = write_envi(tmp_path / "img.bsq", two_region_data(h=16, w=16))
+        code = (
+            "import sys\n"
+            "from ca_segment.cli import main\n"
+            "scene, out = sys.argv[1:]\n"
+            "for command, *flags in (('segment', '--min-area', '10'), ('seeds',)):\n"
+            "    rc = main([command, '--input', scene, '--out-labels', out + command + '.u32',\n"
+            "               '--out-stats', out + command + '.json', *flags])\n"
+            "    assert rc == 0, (command, rc)\n"
+            "assert main(['stats', '--labels', out + 'segment.u32']) == 0\n"
+            "print('numpy.ma' in sys.modules)\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code, path, str(tmp_path / "run-")],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "False"
+
 
 SEGMENT_KEYS = {
     "steps_to_convergence", "converged", "segments_before", "segments_after",

@@ -586,10 +586,13 @@ class TestMedoidSignature:
         # every permutation of one vector: all sums are equal and all members
         # distinct, so no bound drops a member and each row is computed once
         rows.clear()
+        batches.clear()
         orbit = np.array(list(itertools.permutations(range(0, 60, 10))))
         image = image_from(orbit.reshape(24, 30, 6))
         medoid_signature(image, np.arange(720))
         assert sorted(rows) == list(range(720))
+        # in batches of at most _BATCH_ROWS rows, however many stay live
+        assert max(batches) <= segments._BATCH_ROWS
 
     def test_empty_pixel_list(self):
         image = image_from(np.zeros((1, 1, 1)))
@@ -646,12 +649,11 @@ def medoid_members(draw):
 @example((MultibandImage(data=np.array([[[3], [2], [0], [3], [3], [2]]], dtype=np.uint8), depth=8), 3))
 def test_bounded_medoid_matches_bruteforce(case):
     # bound every segment in batches of a few rows, so that several batches,
-    # copied duplicates, the dense rest and ties all run
+    # copied duplicates and ties all run
     image, block_rows = case
     m = image.width
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(segments, "_BATCH_ROWS", block_rows)
-        mp.setattr(segments, "_BLOCK_BYTES", 8 * m * block_rows)
         got = medoid_signature(image, np.arange(m))
     vectors = image.data[0]
     assert got.tolist() == vectors[reference.medoid_by_bruteforce(vectors)].tolist()
