@@ -28,6 +28,7 @@ from .raster import (
 from .seeding import (
     BALANCED,
     SeedMap,
+    SumHistogram,
     SumRange,
     classify_spectral_region,
     compute_sum_histogram,
@@ -59,6 +60,7 @@ __all__ = [
     "Segment",
     "SegmentSet",
     "SegmenterError",
+    "SumHistogram",
     "SumRange",
     "UnsupportedFormatError",
     "classify_spectral_region",

@@ -9,6 +9,7 @@ Exit codes: 0 success, 1 usage error, 2 data or contract error, or a
 from __future__ import annotations
 
 import argparse
+import ctypes
 import json
 import os
 import sys
@@ -17,6 +18,10 @@ from dataclasses import fields
 from .automaton import NeighborhoodKind
 from .errors import SegmenterError
 from .pipeline import PipelineConfig, recompute_stats, run_seeds, run_segment
+
+# glibc's mallopt parameters, and the values pinned for a CLI run
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+_MMAP_THRESHOLD, _TRIM_THRESHOLD = 32 << 20, 64 << 20
 
 _NEIGHBORHOODS = sorted(kind.value for kind in NeighborhoodKind)
 _DEFAULT = {f.name: f.default for f in fields(PipelineConfig)}
@@ -151,7 +156,28 @@ def _unmet(report, min_area) -> list[str]:
     return problems
 
 
+def _keep_freed_pages():
+    """Pin glibc's mmap and trim thresholds where the C library has mallopt.
+
+    By default glibc serves blocks of 128 KiB or more with fresh mmap
+    pages and raises that threshold only after the first such block is
+    freed, so how often a run faults in new pages depends on the order of
+    its first large allocations. Pinned at 32 MiB, the ceiling of glibc's
+    own heuristic on 64-bit systems, with the trim threshold at twice
+    that as the heuristic sets it, freed arrays stay in the heap for the
+    next ones.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):  # macOS has no mallopt; Windows opens no CDLL(None)
+        return
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD)
+    mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD)
+
+
 def main(argv=None) -> int:
+    _keep_freed_pages()
     parser = _build_parser()
     args = parser.parse_args(argv)
     if args.command is None:

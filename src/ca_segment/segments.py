@@ -360,7 +360,7 @@ def medoid_signature(image: MultibandImage, pixels, sample_cap: int = 4096) -> n
         raise ContractError("medoid of an empty pixel list")
     if sample_cap < 1:
         raise ContractError("sample_cap must be >= 1")
-    idx = np.sort(idx)
+    idx = np.sort(idx, kind="stable")  # one run when the pixels arrive ascending
     if idx.size > sample_cap:
         take = (np.arange(sample_cap, dtype=np.int64) * idx.size) // sample_cap
         idx = idx[take]

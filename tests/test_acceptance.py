@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import reference
+from densehist import dense, sparse
 from ca_segment import (
     ContractError,
     FormatError,
@@ -291,7 +292,7 @@ def test_seeding_oracles(capsys):
                 int(rng.integers(1, 13)), int(rng.integers(1, 13)), bands
             )).astype(dtype)
             image = MultibandImage(data=data, depth=depth)
-            got = compute_sum_histogram(image)
+            got = dense(compute_sum_histogram(image))
             want = reference.histogram_by_loop(data, depth)
             assert got.tolist() == want
 
@@ -305,7 +306,7 @@ def test_seeding_oracles(capsys):
             half_width = int(rng.integers(1, 9))
             max_peaks = int(rng.integers(1, 7))
             got = select_ranges(
-                counts,
+                sparse(counts),
                 smooth_window=smooth_window,
                 prominence_frac=prominence,
                 min_separation=min_separation,

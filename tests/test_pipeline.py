@@ -1,7 +1,10 @@
+import ctypes
 import hashlib
 import json
+import platform
 import subprocess
 import sys
+import types
 
 import numpy as np
 import pytest
@@ -391,6 +394,38 @@ class TestCli:
             "--out-stats", str(out_path),
         ]) == 0
         assert json.loads(out_path.read_text()) == stats
+
+    @pytest.mark.parametrize("error", [AttributeError, OSError])
+    def test_segment_runs_without_mallopt(self, tmp_path, monkeypatch, error):
+        # a C library without mallopt (macOS, Windows), or none to load
+        def no_mallopt(name):
+            if error is OSError:
+                raise OSError("no C library")
+            return object()
+
+        monkeypatch.setattr(ctypes, "CDLL", no_mallopt)
+        path = write_envi(tmp_path / "img.bsq", two_region_data(h=16, w=16))
+        assert main(self.segment_args(tmp_path, path, "--min-area", "10")) == 0
+        assert (tmp_path / "labels.u32").exists()
+
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="mallopt is glibc's")
+    def test_segment_pins_malloc_thresholds_on_glibc(self, tmp_path, monkeypatch):
+        calls, cdll = [], ctypes.CDLL
+
+        def spy(name):
+            mallopt = cdll(name).mallopt
+
+            def spied(param, value):
+                calls.append((param, value, mallopt(param, value)))
+                return calls[-1][-1]
+
+            return types.SimpleNamespace(mallopt=spied)
+
+        monkeypatch.setattr(ctypes, "CDLL", spy)
+        path = write_envi(tmp_path / "img.bsq", two_region_data(h=16, w=16))
+        assert main(self.segment_args(tmp_path, path, "--min-area", "10")) == 0
+        # M_MMAP_THRESHOLD 32 MiB, M_TRIM_THRESHOLD 64 MiB, both accepted
+        assert calls == [(-3, 32 << 20, 1), (-1, 64 << 20, 1)]
 
     def test_module_invocation(self, tmp_path):
         path = write_envi(tmp_path / "img.bsq", two_region_data(h=16, w=16))

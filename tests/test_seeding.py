@@ -1,12 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import reference
+from densehist import dense, sparse
 from ca_segment import (
     BALANCED,
     ContractError,
     MultibandImage,
     SeedMap,
+    SumHistogram,
     SumRange,
     classify_spectral_region,
     compute_sum_histogram,
@@ -23,41 +27,97 @@ def image_from(data, depth=8):
 class TestSumHistogram:
     def test_direct_sums(self):
         image = image_from([[[1, 2], [3, 4]]])
-        hist = compute_sum_histogram(image)
+        hist = dense(compute_sum_histogram(image))
         assert hist.shape == (2 * 255 + 1,)
         assert hist[3] == 1 and hist[7] == 1
         assert hist.sum() == 2
 
     def test_uniform_spike(self):
         image = image_from(np.full((4, 5, 3), 9))
-        hist = compute_sum_histogram(image)
+        hist = dense(compute_sum_histogram(image))
         assert hist[27] == 20
         assert hist.sum() == 20
 
     def test_random_against_loop_oracle(self):
         rng = np.random.default_rng(11)
         image = image_from(rng.integers(0, 256, size=(16, 16, 3)))
-        hist = compute_sum_histogram(image)
+        hist = dense(compute_sum_histogram(image))
         assert hist.sum() == 256
         assert hist.tolist() == reference.histogram_by_loop(image.data, image.depth)
 
     def test_sixteen_bit_domain(self):
         image = image_from(np.full((1, 1, 2), 65535), depth=16)
-        hist = compute_sum_histogram(image)
+        hist = dense(compute_sum_histogram(image))
         assert hist.shape == (2 * 65535 + 1,)
         assert hist[131070] == 1
 
 
+@st.composite
+def band_images(draw):
+    """Images of 1 to 8 bands at 8 or 16 bits; levels often repeat, so
+    sums collide, and often reach 0 or the top level."""
+    bands, depth = draw(st.integers(1, 8)), draw(st.sampled_from([8, 16]))
+    top = (1 << depth) - 1
+    height, width = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    levels = st.sampled_from([0, 1, top]) | st.integers(0, top)
+    cells = draw(st.lists(levels, min_size=height * width * bands, max_size=height * width * bands))
+    return image_from(np.reshape(cells, (height, width, bands)), depth)
+
+
+@settings(max_examples=150, deadline=None)
+@given(band_images())
+def test_histogram_is_the_occupied_bins_of_the_loop_oracle(image):
+    hist = compute_sum_histogram(image)
+    want = np.array(reference.histogram_by_loop(image.data, image.depth))
+    occupied = np.flatnonzero(want)
+    assert hist.size == want.size
+    assert hist.bins.tolist() == occupied.tolist()
+    assert hist.counts.tolist() == want[occupied].tolist()
+
+
+class TestSumHistogramContract:
+    @pytest.mark.parametrize("bins, counts, size, message", [
+        ([], [], 10, "at least one occupied bin"),
+        ([1, 2], [3], 10, "2 bins"),
+        ([2, 2], [1, 1], 10, "strictly ascending"),
+        ([3, 1], [1, 1], 10, "strictly ascending"),
+        ([-1, 4], [1, 1], 10, r"outside \[0, 10\)"),
+        ([4, 10], [1, 1], 10, r"outside \[0, 10\)"),
+        ([4, 5], [1, 0], 10, "counts must be >= 1"),
+    ])
+    def test_malformed_fields_rejected(self, bins, counts, size, message):
+        with pytest.raises(ContractError, match=message):
+            SumHistogram(bins=np.array(bins, dtype=np.int64), counts=np.array(counts, dtype=np.int64),
+                         size=size)
+
+    def test_no_domain_sized_array(self):
+        # 64 x 64 pixels of 8 bands at 16 bits: a domain of 524 281 bins,
+        # which a dense int64 histogram would fill with 4 MiB
+        import tracemalloc
+
+        rng = np.random.default_rng(5)
+        image = image_from(rng.integers(0, 65536, size=(64, 64, 8)), depth=16)
+        tracemalloc.start()
+        try:
+            hist = compute_sum_histogram(image)
+            select_ranges(hist)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert hist.size == 524281
+        assert peak < 1 << 20, peak
+
+
 class TestSelectRanges:
     def test_flat_histogram_falls_back_to_full_domain(self):
-        ranges = select_ranges(np.full(100, 5))
+        ranges = select_ranges(sparse(np.full(100, 5)))
         assert ranges == [SumRange(0, 99, 0)]
 
     def test_two_spikes(self):
         hist = np.zeros(256, dtype=np.int64)
         hist[50] = 100
         hist[200] = 80
-        ranges = select_ranges(hist)
+        ranges = select_ranges(sparse(hist))
         assert [r.peak for r in ranges] == [50, 200]
         assert ranges == [SumRange(45, 55, 50), SumRange(195, 205, 200)]
 
@@ -66,7 +126,7 @@ class TestSelectRanges:
         hist = np.zeros(256, dtype=np.int64)
         hist[50] = 100
         hist[53] = 80
-        ranges = select_ranges(hist, min_separation=10)
+        ranges = select_ranges(sparse(hist), min_separation=10)
         assert len(ranges) == 1
         assert ranges[0].peak == 51
         assert ranges[0].lo <= 50 and 53 <= ranges[0].hi
@@ -75,7 +135,7 @@ class TestSelectRanges:
         hist = np.zeros(256, dtype=np.int64)
         hist[50] = 100
         hist[53] = 80
-        ranges = select_ranges(hist, smooth_window=1, min_separation=10)
+        ranges = select_ranges(sparse(hist), smooth_window=1, min_separation=10)
         assert len(ranges) == 1
         assert ranges[0].peak == 50
 
@@ -84,14 +144,14 @@ class TestSelectRanges:
         hist[50] = 100
         hist[60] = 90
         # separation 10 keeps both; half_width 5 makes the spans touch at 55
-        ranges = select_ranges(hist, smooth_window=1, min_separation=10, half_width=5)
+        ranges = select_ranges(sparse(hist), smooth_window=1, min_separation=10, half_width=5)
         assert ranges == [SumRange(45, 65, 50)]
 
     def test_clamping_at_domain_edges(self):
         hist = np.zeros(100, dtype=np.int64)
         hist[1] = 50
         hist[98] = 40
-        ranges = select_ranges(hist, smooth_window=1)
+        ranges = select_ranges(sparse(hist), smooth_window=1)
         assert ranges[0].lo == 0 and ranges[0].peak == 1
         assert ranges[-1].hi == 99 and ranges[-1].peak == 98
 
@@ -99,7 +159,7 @@ class TestSelectRanges:
         hist = np.zeros(300, dtype=np.int64)
         for i, height in enumerate([50, 90, 70, 80], start=1):
             hist[i * 50] = height
-        ranges = select_ranges(hist, smooth_window=1, max_peaks=2)
+        ranges = select_ranges(sparse(hist), smooth_window=1, max_peaks=2)
         assert sorted(r.peak for r in ranges) == [100, 200]
 
     @pytest.mark.parametrize("bad", [
@@ -109,7 +169,7 @@ class TestSelectRanges:
     ])
     def test_parameter_validation(self, bad):
         with pytest.raises(ContractError):
-            select_ranges(np.ones(10, dtype=np.int64), **bad)
+            select_ranges(sparse(np.ones(10, dtype=np.int64)), **bad)
 
     def test_random_against_scan_oracle(self):
         rng = np.random.default_rng(23)
@@ -126,7 +186,7 @@ class TestSelectRanges:
                 half_width=int(rng.integers(1, 12)),
                 max_peaks=int(rng.integers(1, 9)),
             )
-            got = [(r.lo, r.hi, r.peak) for r in select_ranges(hist, **params)]
+            got = [(r.lo, r.hi, r.peak) for r in select_ranges(sparse(hist), **params)]
             assert got == reference.select_ranges_by_scan(hist, **params)
 
     @staticmethod
@@ -144,19 +204,19 @@ class TestSelectRanges:
 
     def test_16bit_domain_against_scan_oracle(self):
         hist = self.sparse_16bit_histogram(524281)
-        got = [(r.lo, r.hi, r.peak) for r in select_ranges(hist, max_peaks=16)]
+        got = [(r.lo, r.hi, r.peak) for r in select_ranges(sparse(hist), max_peaks=16)]
         assert len(got) == 10
         assert got == reference.select_ranges_by_scan(hist, 5, 0.05, 10, 5, 16)
 
     def test_peak_memory_grows_by_the_one_scan(self):
         # the same occupied bins in a domain four times as long: the smoothing
-        # and the peak search work on the occupied bins, so only the scan
-        # for them (one byte per bin) may grow with the domain
+        # and the peak search work on the occupied bins alone, so the peak may
+        # grow by no more than a scan for them (one byte per bin) would take
         import tracemalloc
 
         peaks = []
         for length in (524281, 4 * 524281):
-            hist = self.sparse_16bit_histogram(length)
+            hist = sparse(self.sparse_16bit_histogram(length))
             ranges = select_ranges(hist)
             tracemalloc.start()
             try:
