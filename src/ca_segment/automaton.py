@@ -22,6 +22,7 @@ import enum
 import functools
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -223,16 +224,13 @@ def evolve_step(grid: AutomatonGrid, weights, threads: int = 1):
     old_labels, old_theta = labels.take(cells), theta.take(cells)
     new_labels, new_theta = labels.copy(), theta.copy()
     changed = np.zeros(h * w, dtype=bool)
-    chunks = [slice(i, i + _CHUNK) for i in range(0, cells.size, _CHUNK)]
-    jobs = _pool(threads).map if threads > 1 and len(chunks) > 1 else map
-
-    def run(part, off, plane):
-        _attack(off, plane, cells[part], old_labels[part], old_theta[part],
-                new_labels, new_theta, changed)
-
+    starts = range(0, cells.size, _CHUNK)
+    parts = [[array[i : i + _CHUNK] for i in starts] for array in (cells, old_labels, old_theta)]
+    jobs = _pool(threads).map if threads > 1 and len(starts) > 1 else map
     for dr, dc, _ in weights:
         # every chunk of one offset lands before the next offset starts
-        list(jobs(functools.partial(run, off=dr * w + dc, plane=planes[-dr, -dc]), chunks))
+        list(jobs(_attack, repeat(dr * w + dc), repeat(planes[-dr, -dc]), *parts,
+                  repeat(new_labels), repeat(new_theta), repeat(changed)))
     new_grid = AutomatonGrid(
         labels=new_labels.reshape(h, w), theta=new_theta.reshape(h, w),
         changed=changed.reshape(h, w),

@@ -14,6 +14,7 @@ import json
 import os
 import sys
 from dataclasses import fields
+from typing import NamedTuple
 
 from .automaton import NeighborhoodKind
 from .errors import SegmenterError
@@ -56,78 +57,129 @@ def _band_triple(text):
     return tuple(values)
 
 
-def _add_intake_flags(parser):
-    parser.add_argument("--input", dest="input_path", metavar="INPUT", required=True,
-                        help="input raster path")
-    parser.add_argument(
-        "--format",
-        choices=["envi-bsq", "ppm"],
-        default=_DEFAULT["format"],
-        help="input container (default: inferred from the extension)",
-    )
-    parser.add_argument(
-        "--bands",
-        type=_int_list,
-        default=_DEFAULT["bands"],
-        metavar="I,J,K",
-        help="band subset to segment (default: all bands)",
-    )
-    parser.add_argument("--delta-rel", type=float, default=_DEFAULT["delta_rel"],
-                        help="relative spread below which a pixel counts as balanced")
-    parser.add_argument("--smooth-window", type=int, default=_DEFAULT["smooth_window"])
-    parser.add_argument("--prominence", dest="prominence_frac", metavar="PROMINENCE",
-                        type=float, default=_DEFAULT["prominence_frac"],
-                        help="peak height floor as a fraction of the histogram maximum")
-    parser.add_argument("--min-separation", type=int, default=_DEFAULT["min_separation"])
-    parser.add_argument("--half-width", type=int, default=_DEFAULT["half_width"])
-    parser.add_argument("--max-peaks", type=int, default=_DEFAULT["max_peaks"])
-    parser.add_argument("--stride", type=int, default=_DEFAULT["stride"])
-    parser.add_argument("--out-labels", required=True, help="output label raster path")
-    parser.add_argument("--out-stats", required=True, help="output stats JSON path")
+class _Flag(NamedTuple):
+    """One flag of a command, as argparse declares it and the plain reader reads it."""
+
+    option: str
+    dest: str
+    type: object  # converts the value's text; None keeps the text
+    choices: list | None
+    required: bool
+    default: object
+    help: str | None
+    metavar: str | None
+    switch: bool  # a bare flag that stores True
+
+
+def _flag(option, type=None, *, dest=None, choices=None, required=False, help=None,
+          metavar=None, switch=False):
+    """A flag whose default is that of the config field it sets, if any."""
+    dest = dest or option[2:].replace("-", "_")
+    default = _DEFAULT.get(dest, False if switch else None)
+    if isinstance(default, NeighborhoodKind):
+        default = default.value
+    return _Flag(option, dest, type, choices, required, default, help, metavar, switch)
+
+
+_INTAKE_FLAGS = (
+    _flag("--input", dest="input_path", metavar="INPUT", required=True, help="input raster path"),
+    _flag("--format", choices=["envi-bsq", "ppm"],
+          help="input container (default: inferred from the extension)"),
+    _flag("--bands", _int_list, metavar="I,J,K", help="band subset to segment (default: all bands)"),
+    _flag("--delta-rel", float, help="relative spread below which a pixel counts as balanced"),
+    _flag("--smooth-window", int),
+    _flag("--prominence", float, dest="prominence_frac", metavar="PROMINENCE",
+          help="peak height floor as a fraction of the histogram maximum"),
+    _flag("--min-separation", int),
+    _flag("--half-width", int),
+    _flag("--max-peaks", int),
+    _flag("--stride", int),
+    _flag("--out-labels", required=True, help="output label raster path"),
+    _flag("--out-stats", required=True, help="output stats JSON path"),
+)
+_NEIGHBORHOOD_FLAG = _flag("--neighborhood", choices=_NEIGHBORHOODS)
+
+#: each command's summary and flags, in the order of its help
+_COMMANDS = {
+    "segment": ("run the full segmentation pipeline", _INTAKE_FLAGS + (
+        _NEIGHBORHOOD_FLAG,
+        _flag("--epsilon", float),
+        _flag("--min-area", int, help="study scale: segments below this area are regrown"),
+        _flag("--max-iters", int, help="evolution cap (default: 10 * (width + height))"),
+        _flag("--max-rounds", int),
+        _flag("--threads", int, help="workers over chunks of each step's attacking cells; "
+              "output identical for any value"),
+        _flag("--strict", switch=True,
+              help="exit 2, leaving no outputs, if the automaton hits the "
+              "iteration cap or null cells or segments below --min-area remain"),
+        _flag("--out-preview", help="optional preview PPM path"),
+        _flag("--preview-bands", _band_triple, metavar="R,G,B",
+              help="bands rendered in the preview (default: 0,1,2)"),
+    )),
+    "seeds": ("stop after seed generation", _INTAKE_FLAGS),
+    "stats": ("recompute statistics from a label raster", (
+        _flag("--labels", required=True, help="saved label raster path"),
+        _NEIGHBORHOOD_FLAG,
+        _flag("--out-stats", help="write JSON here instead of stdout"),
+    )),
+}
+_COMMAND_FLAGS = {  # each command's flags by option, for the plain reader
+    command: {flag.option: flag for flag in flags} for command, (_, flags) in _COMMANDS.items()
+}
 
 
 def _build_parser():
     parser = _Parser(prog="ca-segment", description=__doc__)
     sub = parser.add_subparsers(dest="command", metavar="COMMAND")
-
-    seg = sub.add_parser("segment", help="run the full segmentation pipeline")
-    _add_intake_flags(seg)
-    seg.add_argument(
-        "--neighborhood", choices=_NEIGHBORHOODS, default=_DEFAULT["neighborhood"].value
-    )
-    seg.add_argument("--epsilon", type=float, default=_DEFAULT["epsilon"])
-    seg.add_argument("--min-area", type=int, default=_DEFAULT["min_area"],
-                     help="study scale: segments below this area are regrown")
-    seg.add_argument("--max-iters", type=int, default=_DEFAULT["max_iters"],
-                     help="evolution cap (default: 10 * (width + height))")
-    seg.add_argument("--max-rounds", type=int, default=_DEFAULT["max_rounds"])
-    seg.add_argument("--threads", type=int, default=_DEFAULT["threads"],
-                     help="workers over chunks of each step's attacking cells; "
-                     "output identical for any value")
-    seg.add_argument("--strict", action="store_true",
-                     help="exit 2, leaving no outputs, if the automaton hits the "
-                     "iteration cap or null cells or segments below --min-area remain")
-    seg.add_argument("--out-preview", default=_DEFAULT["out_preview"],
-                     help="optional preview PPM path")
-    seg.add_argument(
-        "--preview-bands",
-        type=_band_triple,
-        default=_DEFAULT["preview_bands"],
-        metavar="R,G,B",
-        help="bands rendered in the preview (default: 0,1,2)",
-    )
-
-    seeds = sub.add_parser("seeds", help="stop after seed generation")
-    _add_intake_flags(seeds)
-
-    stats = sub.add_parser("stats", help="recompute statistics from a label raster")
-    stats.add_argument("--labels", required=True, help="saved label raster path")
-    stats.add_argument(
-        "--neighborhood", choices=_NEIGHBORHOODS, default=_DEFAULT["neighborhood"].value
-    )
-    stats.add_argument("--out-stats", default=None,
-                       help="write JSON here instead of stdout")
+    for command, (summary, flags) in _COMMANDS.items():
+        cmd = sub.add_parser(command, help=summary)
+        for flag in flags:
+            if flag.switch:
+                cmd.add_argument(flag.option, action="store_true", help=flag.help)
+            else:
+                cmd.add_argument(flag.option, dest=flag.dest, type=flag.type,
+                                 choices=flag.choices, required=flag.required,
+                                 default=flag.default, help=flag.help, metavar=flag.metavar)
     return parser
+
+
+def _read_plain(argv):
+    """The namespace argparse would build from ``argv``, or None to leave it to argparse.
+
+    Only the plain form is read: COMMAND, then full flag names of that
+    command, each followed by its value as a separate argument unless it
+    is a switch. Anything else returns None, so help, abbreviations,
+    ``--flag=value`` and every usage error stay argparse's: a value
+    starting with "-", an unknown or other command's flag, a stray or
+    missing argument, a value its converter or choices refuse, or a
+    required flag left out. Building argparse's parser costs a few
+    milliseconds, more than reading a plain command line.
+    """
+    if not argv or argv[0] not in _COMMAND_FLAGS:
+        return None
+    flags = _COMMAND_FLAGS[argv[0]]
+    values = {flag.dest: flag.default for flag in flags.values()}
+    missing = {option for option, flag in flags.items() if flag.required}
+    tokens = iter(argv[1:])
+    for token in tokens:
+        flag = flags.get(token)
+        if flag is None:
+            return None
+        missing.discard(token)
+        if flag.switch:
+            values[flag.dest] = True
+            continue
+        text = next(tokens, "-")  # a missing value declines as a flag would
+        if text.startswith("-"):
+            return None
+        try:
+            value = text if flag.type is None else flag.type(text)
+        except (TypeError, ValueError, argparse.ArgumentTypeError):
+            return None
+        if flag.choices is not None and value not in flag.choices:
+            return None
+        values[flag.dest] = value
+    return None if missing else argparse.Namespace(command=argv[0], **values)
 
 
 def _config_from_args(args) -> PipelineConfig:
@@ -178,10 +230,13 @@ def _keep_freed_pages():
 
 def main(argv=None) -> int:
     _keep_freed_pages()
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    if args.command is None:
-        parser.error("a command is required (segment, seeds or stats)")
+    argv = sys.argv[1:] if argv is None else argv
+    args = _read_plain(argv)
+    if args is None:
+        parser = _build_parser()
+        args = parser.parse_args(argv)
+        if args.command is None:
+            parser.error("a command is required (segment, seeds or stats)")
 
     try:
         if args.command == "segment":

@@ -323,6 +323,28 @@ class TestGenerateSeeds:
         assert seeds.labels.tolist() == [[0, 1, 0]]
 
     def test_random_against_loop_oracle(self):
+        def check(image, ranges, delta, stride):
+            seeds = generate_seeds(image, ranges, delta_rel=delta, stride=stride)
+            entries, table = reference.seeds_by_loop(
+                image.data, [(r.lo, r.hi) for r in ranges], delta, stride
+            )
+            idx = np.flatnonzero(seeds.labels)
+            assert seeds.labels.shape == (image.height, image.width)
+            assert list(zip(idx.tolist(), seeds.labels.ravel()[idx].tolist())) == entries
+            assert {key: i for i, key in enumerate(seeds.keys, start=1)} == table
+
+        # adjacent ranges (each hi + 1 is the next lo), one of a single sum,
+        # with pixel sums on both edges of each range and just outside them;
+        # ranges also lie below every possible sum, past the largest and far
+        # beyond it, outside any 32-bit integer
+        ranges = [SumRange(-8, -2, -5), SumRange(10, 19, 15), SumRange(20, 29, 25),
+                  SumRange(30, 30, 30), SumRange(31, 40, 35), SumRange(500, 2**33, 600),
+                  SumRange(2**40, 2**41, 2**40)]
+        sums = [0, 9, 10, 19, 20, 29, 30, 31, 40, 41, 499, 500, 510]
+        data = [[(s // 2, s - s // 2), (min(s, 255), s - min(s, 255)), (s - min(s, 255), min(s, 255))]
+                for s in sums]
+        check(image_from(data), ranges, 0.1, 1)
+
         rng = np.random.default_rng(17)
         for _ in range(40):
             h, w = int(rng.integers(1, 12)), int(rng.integers(1, 12))
@@ -336,14 +358,7 @@ class TestGenerateSeeds:
                 ranges.append(SumRange(cut_a + 1, cut_b, peak))
             stride = int(rng.integers(1, 4))
             delta = float(rng.uniform(0.0, 0.4))
-            seeds = generate_seeds(image, ranges, delta_rel=delta, stride=stride)
-            entries, table = reference.seeds_by_loop(
-                image.data, [(r.lo, r.hi) for r in ranges], delta, stride
-            )
-            idx = np.flatnonzero(seeds.labels)
-            assert seeds.labels.shape == (h, w)
-            assert list(zip(idx.tolist(), seeds.labels.ravel()[idx].tolist())) == entries
-            assert {key: i for i, key in enumerate(seeds.keys, start=1)} == table
+            check(image, ranges, delta, stride)
 
     def test_label_count_bound(self):
         rng = np.random.default_rng(19)
