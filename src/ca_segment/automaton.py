@@ -103,6 +103,34 @@ def init_from_seeds(seeds: SeedMap) -> AutomatonGrid:
     )
 
 
+class NeighborWeights(tuple):
+    """The ``(dr, dc, plane)`` triples of the attack weights, checked against a grid shape.
+
+    Every plane must have ``shape`` and the offsets must come in mirrored
+    pairs. ``attacks`` pairs each offset's flat shift dr·w + dc with the
+    flat plane of its mirrored offset, in the triples' order: what a step
+    pushes, looked up once.
+    """
+
+    def __new__(cls, triples, shape):
+        self = super().__new__(cls, triples)
+        if any(plane.shape != shape for _, _, plane in self):
+            raise ContractError("grid and weight plane dimensions do not match")
+        planes = {(dr, dc): plane.ravel() for dr, dc, plane in self}
+        if any((-dr, -dc) not in planes for dr, dc in planes):
+            raise ContractError("weight planes must come in mirrored pairs")
+        self.shape = shape
+        self.attacks = tuple((dr * shape[1] + dc, planes[-dr, -dc]) for dr, dc, _ in self)
+        return self
+
+
+def _checked(weights, shape):
+    """``weights`` as ``NeighborWeights`` of ``shape``, checked unless they already are."""
+    if type(weights) is NeighborWeights and weights.shape == shape:
+        return weights
+    return NeighborWeights(weights, shape)
+
+
 def neighbor_weights(image: MultibandImage, nb: NeighborhoodKind, epsilon: float):
     """Precompute per-offset attack attenuation between every cell pair.
 
@@ -113,7 +141,9 @@ def neighbor_weights(image: MultibandImage, nb: NeighborhoodKind, epsilon: float
     1, keeps every attack alive so colonization always completes. A plane
     is zero where the neighbor falls outside the grid, which silences the
     attack because strengths are non-negative and comparisons are strict.
-    The planes depend only on the image, so one set serves a whole run.
+    The planes depend only on the image, so one set serves a whole run;
+    they come as ``NeighborWeights``, a tuple of ``(dr, dc, plane)`` in
+    offset order that carries its checked flat lookup.
 
     Squared distances are summed over band-major integer planes. Samples
     are integers of at most 16 bits, so their differences fit int32 and a
@@ -165,7 +195,7 @@ def neighbor_weights(image: MultibandImage, nb: NeighborhoodKind, epsilon: float
         np.maximum(epsilon, d, out=d)
         off = dr * w + dc
         planes[-dr, -dc] = row[pad - off : pad - off + h * w].reshape(h, w)
-    return [(dr, dc, planes[dr, dc]) for dr, dc in offsets]
+    return NeighborWeights([(dr, dc, planes[dr, dc]) for dr, dc in offsets], (h, w))
 
 
 def _attack(off, plane, cells, labels, theta, new_labels, new_theta, changed):
@@ -178,17 +208,21 @@ def _attack(off, plane, cells, labels, theta, new_labels, new_theta, changed):
     ``labels`` and ``theta`` are the attackers' old states. Targets are
     distinct, so writing each strict win keeps the running maximum and the
     last strict win in ``new_theta`` and ``new_labels``, as the sequential
-    scan does. Each target won is marked in ``changed``.
+    scan does. Each target won is marked in ``changed``; returns how many
+    were won.
     """
     target = cells - off
     att = plane.take(cells)
     att *= theta
     # wrapping reads an in-range cell, and is faster than clipping
     win = (att > new_theta.take(target, mode="wrap")).nonzero()[0]
+    if not win.size:
+        return 0
     hit = target.take(win)
     new_theta[hit] = att.take(win)
     new_labels[hit] = labels.take(win)
     changed[hit] = True
+    return hit.size
 
 
 @functools.lru_cache(maxsize=None)
@@ -197,57 +231,79 @@ def _pool(workers):
     return ThreadPoolExecutor(max_workers=workers)
 
 
-def evolve_step(grid: AutomatonGrid, weights, threads: int = 1):
+def evolve_step(grid: AutomatonGrid, weights, threads: int = 1, *, spare: AutomatonGrid | None = None):
     """One synchronous evolution step; returns (grid at t+1, whether any cell moved).
 
-    ``weights`` are the planes from :func:`neighbor_weights`. Only the
+    ``weights`` are the planes from :func:`neighbor_weights`; any other
+    sequence of ``(dr, dc, plane)`` is checked on every call. Only the
     cells in ``grid.changed`` attack: an attack from any other cell is no
     stronger than its target, so it cannot strictly win. The offsets are
     taken in their fixed order; for each, the attackers are cut into chunks
-    of ``_CHUNK`` cells, which run on up to ``threads`` workers and hit
-    disjoint targets. The result is independent of both. Each chunk marks
-    the targets it wins in the new grid's ``changed``: the cells that
-    moved, the only ones whose attacks can win the next step. The input
-    grid is left untouched.
+    of ``_CHUNK`` cells, which hit disjoint targets. A step of several
+    chunks on ``threads`` > 1 runs them on a pool of that many workers, and
+    any other step on the calling thread. The result is independent of
+    both. Each chunk marks the targets it wins in the new grid's
+    ``changed``: the cells that moved, the only ones whose attacks can win
+    the next step. The input grid is left untouched.
+
+    The new grid has fresh buffers unless ``spare`` is given: the grid that
+    ``grid`` was stepped from, which differs from it only at the cells
+    ``grid.changed`` marks. Its buffers are brought up to ``grid`` at those
+    cells, its mask is cleared, and it is overwritten and returned as the
+    grid at t+1, so a caller that owns both grids steps between them
+    without allocating. It must be another grid of the same shape with
+    C-contiguous buffers.
     """
     if threads < 1:
         raise ContractError("threads must be >= 1")
-    if any(plane.shape != grid.labels.shape for _, _, plane in weights):
-        raise ContractError("grid and weight plane dimensions do not match")
-    planes = {(dr, dc): plane.ravel() for dr, dc, plane in weights}
-    if any((-dr, -dc) not in planes for dr, dc in planes):
-        raise ContractError("weight planes must come in mirrored pairs")
-
-    h, w = grid.labels.shape
+    shape = grid.labels.shape
+    weights = _checked(weights, shape)
     labels, theta = grid.labels.ravel(), grid.theta.ravel()
     cells = np.flatnonzero(grid.changed)
     old_labels, old_theta = labels.take(cells), theta.take(cells)
-    new_labels, new_theta = labels.copy(), theta.copy()
-    changed = np.zeros(h * w, dtype=bool)
+    if spare is None:
+        spare = AutomatonGrid(
+            labels=grid.labels.copy(), theta=grid.theta.copy(), changed=np.zeros(shape, dtype=bool)
+        )
+    buffers = (spare.labels, spare.theta, spare.changed)
+    if spare is grid or any(a.shape != shape or not a.flags.c_contiguous for a in buffers):
+        raise ContractError("spare must be another C-contiguous grid of the same shape")
+    new_labels, new_theta, changed = (a.reshape(-1) for a in buffers)
+    new_labels[cells] = old_labels
+    new_theta[cells] = old_theta
+    changed.fill(False)
     starts = range(0, cells.size, _CHUNK)
     parts = [[array[i : i + _CHUNK] for i in starts] for array in (cells, old_labels, old_theta)]
-    jobs = _pool(threads).map if threads > 1 and len(starts) > 1 else map
-    for dr, dc, _ in weights:
-        # every chunk of one offset lands before the next offset starts
-        list(jobs(_attack, repeat(dr * w + dc), repeat(planes[-dr, -dc]), *parts,
-                  repeat(new_labels), repeat(new_theta), repeat(changed)))
-    new_grid = AutomatonGrid(
-        labels=new_labels.reshape(h, w), theta=new_theta.reshape(h, w),
-        changed=changed.reshape(h, w),
-    )
-    return new_grid, bool(changed.any())
+    moved = 0
+    if threads > 1 and len(starts) > 1:
+        jobs = _pool(threads).map
+        for off, plane in weights.attacks:
+            # every chunk of one offset lands before the next offset starts
+            moved += sum(jobs(_attack, repeat(off), repeat(plane), *parts,
+                              repeat(new_labels), repeat(new_theta), repeat(changed)))
+    else:
+        for off, plane in weights.attacks:
+            for part in zip(*parts):
+                moved += _attack(off, plane, *part, new_labels, new_theta, changed)
+    return spare, moved > 0
 
 
 def run_to_convergence(grid: AutomatonGrid, weights, max_iters: int, threads: int = 1):
     """Evolve until a step changes nothing or ``max_iters`` is reached.
 
     Returns (grid, steps_executed, converged); the count includes the final
-    verification pass that observes no change.
+    verification pass that observes no change. The weights are checked once
+    per run. The run owns two grids and steps between them: each step from
+    the third on is written into the grid from two steps back, its
+    ``spare``. The caller's grid is never one of them and is left untouched.
     """
     if max_iters < 1:
         raise ContractError("max_iters must be >= 1")
+    weights = _checked(weights, grid.labels.shape)
+    older = None  # the grid before ``grid``, once this run built it
     for steps in range(1, max_iters + 1):
-        grid, moved = evolve_step(grid, weights, threads=threads)
+        new, moved = evolve_step(grid, weights, threads=threads, spare=older)
+        older, grid = (grid if steps > 1 else None), new
         if not moved:
             return grid, steps, True
     return grid, max_iters, False

@@ -212,13 +212,21 @@ _BUCKETS = 8  # distance buckets of the curvature bound
 _TINY = 2.0**-1022  # the smallest normal float
 
 
-def _distance_rows(left, right_t, rows):
+def _distance_rows(vectors, right_t, rows):
     """Distances from the members ``rows`` to every member, and their sums.
 
-    Each row of the result is a C-contiguous array of length m, so its
-    sum does not depend on which batch computes it.
+    ``vectors`` holds the m member vectors as rows, in any layout, and
+    ``right_t`` their augmented columns [b, 1, |b|²]. Only the batch's own
+    augmented rows [−2a, |a|², 1] are built, with |a|² read from
+    ``right_t``. Each row of the result is a C-contiguous array of length
+    m, so its sum does not depend on which batch computes it.
     """
-    dist = left[rows] @ right_t
+    n = right_t.shape[0] - 2
+    left = np.empty((rows.size, n + 2))
+    np.multiply(vectors[rows], -2.0, out=left[:, :n])
+    left[:, n] = right_t[-1].take(rows)
+    left[:, n + 1] = 1.0
+    dist = left @ right_t
     np.sqrt(dist, out=dist)
     return dist, dist.sum(axis=1)
 
@@ -284,7 +292,12 @@ def medoid_signature(image: MultibandImage, pixels, sample_cap: int = 4096) -> n
     of exactly ``sample_cap`` members before the quadratic scan.
 
     Each batch of squared distances is one matmul over augmented vectors,
-    [-2a, |a|², 1] · [b, 1, |b|²]ᵀ = |a|² + |b|² − 2·a·b. This is exact:
+    [-2a, |a|², 1] · [b, 1, |b|²]ᵀ = |a|² + |b|² − 2·a·b. The members are
+    gathered once, straight into the band-major columns [b, 1, |b|²]; each
+    batch builds only its own rows [-2a, |a|², 1] from them, and the
+    members as C-contiguous rows are built only when a batch leaves members
+    live, for the tangent bound. Every operand holds the same floats
+    whichever batch builds it. This is exact:
     samples are integers of at most 16 bits, so every term is an integer
     and every partial sum is bounded by the sum of the terms' magnitudes,
     |a|² + |b|² + 2·|a·b| ≤ 4·bands·(2^depth − 1)², which stays below 2⁵³
@@ -366,26 +379,27 @@ def medoid_signature(image: MultibandImage, pixels, sample_cap: int = 4096) -> n
         idx = idx[take]
 
     flat = image.data.reshape(-1, image.bands)
-    vectors = flat[idx].astype(np.float64)
-    m = vectors.shape[0]
-    norms = np.einsum("ij,ij->i", vectors, vectors)
-    left = np.column_stack((-2.0 * vectors, norms, np.ones(m)))
+    m = idx.size
     right_t = np.empty((image.bands + 2, m))  # C order: each band is one contiguous row
-    right_t[:-2] = vectors.T
+    points, norms = right_t[:-2], right_t[-1]
+    points[...] = flat[idx].T
     right_t[-2] = 1.0
-    right_t[-1] = norms
+    np.einsum("ij,ij->j", points, points, out=norms)
     max_dist = image.max_distance
     sums = np.full(m, np.inf)
+    vectors = None  # C-contiguous rows, built for the first tangent bound
     # the members neither settled nor dropped, nearest μ first, and lower bounds on their sums
-    rest, low = _curvature_bounds(right_t[:-2], norms, max_dist)
+    rest, low = _curvature_bounds(points, norms, max_dist)
     batch = rest[:_BATCH_ROWS]
     while True:
-        dist, sums[batch] = _distance_rows(left, right_t, batch)
+        dist, sums[batch] = _distance_rows(points.T, right_t, batch)
         copy = np.flatnonzero(dist == 0)  # a member equal to a computed one has its row
         sums[copy % m] = sums[batch[copy // m]]
         best = sums.min()
         live = (sums[rest] == np.inf) & ~(low > best)
         if live.any():
+            if vectors is None:
+                vectors = np.ascontiguousarray(points.T)
             low[live] = np.maximum(
                 low[live],
                 _tangent_bounds(dist, sums[batch], vectors, batch, rest[live], max_dist),

@@ -408,6 +408,77 @@ class TestRunToConvergence:
         with pytest.raises(ContractError):
             run_to_convergence(grid, weights_for(image), max_iters=0)
 
+    @pytest.mark.parametrize("nb", list(NeighborhoodKind))
+    def test_a_run_equals_its_steps(self, monkeypatch, nb):
+        # a run steps between buffers it owns; it must end where chaining
+        # steps on fresh buffers ends, bit for bit and with the same mask,
+        # count and flag, from seeds and from a nulled grid, capped or not,
+        # on 1 to 3 workers over 7-cell chunks, and leave its input as it was
+        def chained(grid, weights, max_iters, threads):
+            for steps in range(1, max_iters + 1):
+                grid, moved = evolve_step(grid, weights, threads=threads)
+                if not moved:
+                    return grid, steps, True
+            return grid, max_iters, False
+
+        step = automaton.evolve_step
+        calls = []
+
+        def counted(grid, *args, **kwargs):
+            calls.append(grid)
+            result = step(grid, *args, **kwargs)
+            calls.append(result[0])
+            return result
+
+        monkeypatch.setattr(automaton, "_CHUNK", 7)
+        rng = np.random.default_rng(47)
+        for _ in range(6):
+            image, seeds = random_setup(rng, max_side=16)
+            weights = weights_for(image, nb)
+            seeded = init_from_seeds(seeds)
+            settled, _, _ = chained(seeded, weights, 1000, 1)
+            freed = rng.random(settled.labels.shape) < 0.3
+            for start in (seeded, settled.nulled(freed)):
+                for threads in (1, 2, 3):
+                    for max_iters in (2, 1000):
+                        want, want_steps, want_conv = chained(start, weights, max_iters, threads)
+                        kept = [a.copy() for a in (start.labels, start.theta, start.changed)]
+                        calls.clear()
+                        monkeypatch.setattr(automaton, "evolve_step", counted)
+                        got, steps, converged = run_to_convergence(
+                            start, weights, max_iters, threads=threads
+                        )
+                        monkeypatch.setattr(automaton, "evolve_step", step)
+                        assert (steps, converged) == (want_steps, want_conv)
+                        assert got.labels.tobytes() == want.labels.tobytes()
+                        assert got.theta.tobytes() == want.theta.tobytes()
+                        assert (got.changed == want.changed).all()
+                        for array, before in zip((start.labels, start.theta, start.changed), kept):
+                            assert array.tobytes() == before.tobytes()
+                        # one traced call per step, each on the grid the last one returned
+                        assert len(calls) == 2 * steps
+                        assert calls[0] is start and calls[-1] is got
+                        assert all(a is b for a, b in zip(calls[1:-1:2], calls[2::2]))
+
+    def test_checks_what_it_does_not_build(self):
+        # weights other than neighbor_weights' are checked on every step,
+        # and a spare must be another grid of the step's shape
+        image = image_from(np.full((3, 4, 1), 10))
+        weights = weights_for(image)
+        grid = init_from_seeds(seed_map(4, 3, [(5, 1)]))
+        want, _ = evolve_step(grid, weights)
+        got, _ = evolve_step(grid, list(weights))
+        assert got.labels.tobytes() == want.labels.tobytes()
+        assert got.theta.tobytes() == want.theta.tobytes()
+        with pytest.raises(ContractError, match="mirrored pairs"):
+            evolve_step(grid, list(weights)[:-1])
+        with pytest.raises(ContractError, match="mirrored pairs"):
+            run_to_convergence(grid, list(weights)[1:], max_iters=5)
+        small = init_from_seeds(seed_map(3, 3, [(0, 1)]))
+        for spare in (grid, small):
+            with pytest.raises(ContractError, match="spare"):
+                evolve_step(grid, weights, spare=spare)
+
 
 class TestEvolutionInvariants:
     def test_strength_and_label_invariants_over_random_runs(self):

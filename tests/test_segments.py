@@ -734,11 +734,50 @@ def test_tangent_bounds_never_exceed_row_sums(depth, kind):
             vectors = vectors.astype(np.float64)
             norms = (vectors * vectors).sum(axis=1)[:, None]
             ones = np.ones((m, 1))
-            left = np.hstack((-2.0 * vectors, norms, ones))
             right_t = np.hstack((vectors, ones, norms)).T
             rows = rng.choice(m, size=int(rng.integers(1, min(m, 8) + 1)), replace=False)
-            dist, sums = segments._distance_rows(left, right_t, rows)
+            dist, sums = segments._distance_rows(vectors, right_t, rows)
             bounds = segments._tangent_bounds(
                 dist, sums, vectors, rows, np.arange(m), np.sqrt(bands) * top
             )
             assert (bounds <= reference.distance_sums_by_blocks(vectors)).all(), (bands, m)
+
+
+@st.composite
+def member_rows(draw):
+    """An image of up to 40 member vectors, 1 to 8 bands, duplicates and 0/max extremes among them."""
+    depth = draw(st.sampled_from((8, 16)))
+    top = (1 << depth) - 1
+    bands = draw(st.integers(1, 8))
+    values = st.one_of(st.sampled_from((0, top)), st.integers(0, top))
+    palette = draw(hnp.arrays(np.int64, (draw(st.integers(1, 12)), bands), elements=values))
+    pick = draw(st.lists(st.integers(0, len(palette) - 1), min_size=1, max_size=40))
+    data = palette[pick].astype(np.uint8 if depth == 8 else np.uint16)
+    return MultibandImage(data=data[None], depth=depth)
+
+
+@settings(max_examples=200, deadline=None)
+@given(member_rows())
+def test_distance_rows_match_the_difference_form(image):
+    # every batch's augmented rows, built from the operands medoid_signature
+    # passes, give the correctly rounded root of the exact sum of squared
+    # differences bit for bit, and so does every row of those operands
+    members = image.data[0].astype(np.int64)
+    want = np.sqrt(((members[:, None, :] - members[None]) ** 2).sum(axis=2).astype(np.float64))
+    operands = []
+    compute = segments._distance_rows
+
+    def spy(vectors, right_t, rows):
+        dist, sums = compute(vectors, right_t, rows)
+        operands.append((vectors, right_t))
+        assert dist.tobytes() == want[rows].tobytes()
+        assert sums.tobytes() == want[rows].sum(axis=1).tobytes()
+        return dist, sums
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(segments, "_distance_rows", spy)
+        mp.setattr(segments, "_BATCH_ROWS", 3)
+        medoid_signature(image, np.arange(image.width))
+    dist, sums = compute(*operands[0], np.arange(image.width))
+    assert dist.tobytes() == want.tobytes()
+    assert sums.tobytes() == want.sum(axis=1).tobytes()
