@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import enum
 import functools
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import repeat
 
@@ -57,6 +56,7 @@ class AutomatonGrid:
     evaluate. Every other cell's attacks are known not to win: each of its
     neighbors is at least as strong as the attack it would make. A grid
     built without one knows nothing of its history, so every cell is marked.
+    All three buffers are C-contiguous, so any grid can take a step's writes.
     """
 
     labels: np.ndarray
@@ -72,6 +72,8 @@ class AutomatonGrid:
             self.changed = np.ones(self.labels.shape, dtype=bool)
         elif self.changed.shape != self.labels.shape or self.changed.dtype != np.bool_:
             raise ContractError("changed must be a bool mask of the grid's shape")
+        if not all(a.flags.c_contiguous for a in (self.labels, self.theta, self.changed)):
+            raise ContractError("grid buffers must be C-contiguous")
 
     def nulled(self, cells: np.ndarray) -> "AutomatonGrid":
         """Copy of the grid with the ``cells`` mask set to null.
@@ -106,10 +108,10 @@ def init_from_seeds(seeds: SeedMap) -> AutomatonGrid:
 class NeighborWeights(tuple):
     """The ``(dr, dc, plane)`` triples of the attack weights, checked against a grid shape.
 
-    Every plane must have ``shape`` and the offsets must come in mirrored
-    pairs. ``attacks`` pairs each offset's flat shift dr·w + dc with the
-    flat plane of its mirrored offset, in the triples' order: what a step
-    pushes, looked up once.
+    The only form of weights the automaton takes. Every plane must have
+    ``shape`` and the offsets must come in mirrored pairs. ``attacks`` pairs
+    each offset's flat shift dr·w + dc with the flat plane of its mirrored
+    offset, in the triples' order: what a step pushes, looked up once.
     """
 
     def __new__(cls, triples, shape):
@@ -122,13 +124,6 @@ class NeighborWeights(tuple):
         self.shape = shape
         self.attacks = tuple((dr * shape[1] + dc, planes[-dr, -dc]) for dr, dc, _ in self)
         return self
-
-
-def _checked(weights, shape):
-    """``weights`` as ``NeighborWeights`` of ``shape``, checked unless they already are."""
-    if type(weights) is NeighborWeights and weights.shape == shape:
-        return weights
-    return NeighborWeights(weights, shape)
 
 
 def neighbor_weights(image: MultibandImage, nb: NeighborhoodKind, epsilon: float):
@@ -228,15 +223,16 @@ def _attack(off, plane, cells, labels, theta, new_labels, new_theta, changed):
 @functools.lru_cache(maxsize=None)
 def _pool(workers):
     """One thread pool per worker count, kept for the life of the process."""
+    from concurrent.futures import ThreadPoolExecutor  # loaded by the first pool only
+
     return ThreadPoolExecutor(max_workers=workers)
 
 
 def evolve_step(grid: AutomatonGrid, weights, threads: int = 1, *, spare: AutomatonGrid | None = None):
     """One synchronous evolution step; returns (grid at t+1, whether any cell moved).
 
-    ``weights`` are the planes from :func:`neighbor_weights`; any other
-    sequence of ``(dr, dc, plane)`` is checked on every call. Only the
-    cells in ``grid.changed`` attack: an attack from any other cell is no
+    ``weights`` are ``NeighborWeights`` of the grid's shape. Only the cells
+    in ``grid.changed`` attack: an attack from any other cell is no
     stronger than its target, so it cannot strictly win. The offsets are
     taken in their fixed order; for each, the attackers are cut into chunks
     of ``_CHUNK`` cells, which hit disjoint targets. A step of several
@@ -251,24 +247,21 @@ def evolve_step(grid: AutomatonGrid, weights, threads: int = 1, *, spare: Automa
     ``grid.changed`` marks. Its buffers are brought up to ``grid`` at those
     cells, its mask is cleared, and it is overwritten and returned as the
     grid at t+1, so a caller that owns both grids steps between them
-    without allocating. It must be another grid of the same shape with
-    C-contiguous buffers.
+    without allocating. It must be another grid of the same shape.
     """
     if threads < 1:
         raise ContractError("threads must be >= 1")
     shape = grid.labels.shape
-    weights = _checked(weights, shape)
+    if not isinstance(weights, NeighborWeights) or weights.shape != shape:
+        raise ContractError("weights must be NeighborWeights of the grid's shape")
     labels, theta = grid.labels.ravel(), grid.theta.ravel()
     cells = np.flatnonzero(grid.changed)
     old_labels, old_theta = labels.take(cells), theta.take(cells)
     if spare is None:
-        spare = AutomatonGrid(
-            labels=grid.labels.copy(), theta=grid.theta.copy(), changed=np.zeros(shape, dtype=bool)
-        )
-    buffers = (spare.labels, spare.theta, spare.changed)
-    if spare is grid or any(a.shape != shape or not a.flags.c_contiguous for a in buffers):
-        raise ContractError("spare must be another C-contiguous grid of the same shape")
-    new_labels, new_theta, changed = (a.reshape(-1) for a in buffers)
+        spare = AutomatonGrid(grid.labels.copy(), grid.theta.copy(), np.zeros(shape, dtype=bool))
+    elif spare is grid or spare.labels.shape != shape:
+        raise ContractError("spare must be another grid of the same shape")
+    new_labels, new_theta, changed = (a.ravel() for a in (spare.labels, spare.theta, spare.changed))
     new_labels[cells] = old_labels
     new_theta[cells] = old_theta
     changed.fill(False)
@@ -292,18 +285,17 @@ def run_to_convergence(grid: AutomatonGrid, weights, max_iters: int, threads: in
     """Evolve until a step changes nothing or ``max_iters`` is reached.
 
     Returns (grid, steps_executed, converged); the count includes the final
-    verification pass that observes no change. The weights are checked once
-    per run. The run owns two grids and steps between them: each step from
-    the third on is written into the grid from two steps back, its
-    ``spare``. The caller's grid is never one of them and is left untouched.
+    verification pass that observes no change. The run steps between the
+    grid it is given and one grid of its own, built by the first step: each
+    later step is written into the grid from two steps back, its ``spare``.
+    So the given grid is overwritten from the second step on; each step's
+    input is intact when that step returns.
     """
     if max_iters < 1:
         raise ContractError("max_iters must be >= 1")
-    weights = _checked(weights, grid.labels.shape)
-    older = None  # the grid before ``grid``, once this run built it
+    older = None  # the grid ``grid`` was stepped from, once there is one
     for steps in range(1, max_iters + 1):
-        new, moved = evolve_step(grid, weights, threads=threads, spare=older)
-        older, grid = (grid if steps > 1 else None), new
+        older, (grid, moved) = grid, evolve_step(grid, weights, threads=threads, spare=older)
         if not moved:
             return grid, steps, True
     return grid, max_iters, False

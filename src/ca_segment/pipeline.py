@@ -185,16 +185,18 @@ def _report(config, image, ranges, seeds, times, **fields) -> RunReport:
     return report
 
 
-def _label_summary(seeds: seeding.SeedMap, final_labels=None) -> dict:
+def _label_summary(seeds: seeding.SeedMap, final: segmod.SegmentSet | None = None) -> dict:
     """The ``labels`` rows and ``label_count``, the labels present in the output.
 
-    The output is the seed raster, or ``final_labels`` when given, whose
-    ids never exceed ``seeds.label_count``.
+    The output is the seed raster, or when given the ``final`` segments,
+    which cover its nonzero cells with labels up to ``seeds.label_count``.
     """
     seed_counts = np.bincount(seeds.labels.ravel(), minlength=seeds.label_count + 1)
     counts = seed_counts
-    if final_labels is not None:
-        counts = np.bincount(final_labels.ravel(), minlength=seeds.label_count + 1)
+    if final is not None:
+        counts = np.zeros_like(seed_counts)
+        for seg in final.segments:
+            counts[seg.label] += seg.area
     rows = []
     for lab, (range_idx, region) in enumerate(seeds.keys, start=1):
         row = {
@@ -203,7 +205,7 @@ def _label_summary(seeds: seeding.SeedMap, final_labels=None) -> dict:
             "region": seeding.region_name(region),
             "seeds": int(seed_counts[lab]),
         }
-        if final_labels is not None:
+        if final is not None:
             row["pixels"] = int(counts[lab])
         rows.append(row)
     return {"labels": rows, "label_count": int(np.count_nonzero(counts[1:]))}
@@ -273,7 +275,7 @@ def run_segment(config: PipelineConfig) -> RunReport:
                 }
             )
 
-    summary = _label_summary(seeds, final_labels=grid.labels)
+    summary = _label_summary(seeds, final)
     with _phase(times, "write"):
         if config.out_labels:
             raster.save_label_raster(

@@ -231,20 +231,21 @@ def _distance_rows(vectors, right_t, rows):
     return dist, dist.sum(axis=1)
 
 
-def _tangent_bounds(dist, sums, vectors, rows, targets, max_dist):
+def _tangent_bounds(dist, sums, points, rows, targets, max_dist):
     """Lower bounds, less each row's slack, on the distance sums of ``targets``.
 
-    ``dist`` and ``sums`` are what ``_distance_rows`` returned for ``rows``;
-    ``dist`` is overwritten. ``medoid_signature`` derives the bound and slack.
+    ``dist`` and ``sums`` are what ``_distance_rows`` returned for ``rows``,
+    ``points`` the members as columns; ``dist`` is overwritten.
+    ``medoid_signature`` derives the bound and slack.
     """
-    m, bands = vectors.shape
+    bands, m = points.shape
     dist[dist == 0] = np.inf  # coincident members add nothing to the subgradient
     weights = np.reciprocal(dist, out=dist)
     wsum = weights.sum(axis=1)
-    at = vectors[rows]
-    grad = at * wsum[:, None] - weights @ vectors
+    at = points[:, rows].T
+    grad = at * wsum[:, None] - weights @ points.T
     slack = 2.0**-48 * (m + bands + 6) * max_dist * (m + max_dist * wsum)
-    tangents = grad @ np.take(vectors, targets, axis=0).T
+    tangents = grad @ np.take(points, targets, axis=1)
     tangents += (sums - (grad * at).sum(axis=1) - slack)[:, None]
     return tangents.max(axis=0)
 
@@ -293,11 +294,10 @@ def medoid_signature(image: MultibandImage, pixels, sample_cap: int = 4096) -> n
 
     Each batch of squared distances is one matmul over augmented vectors,
     [-2a, |a|², 1] · [b, 1, |b|²]ᵀ = |a|² + |b|² − 2·a·b. The members are
-    gathered once, straight into the band-major columns [b, 1, |b|²]; each
-    batch builds only its own rows [-2a, |a|², 1] from them, and the
-    members as C-contiguous rows are built only when a batch leaves members
-    live, for the tangent bound. Every operand holds the same floats
-    whichever batch builds it. This is exact:
+    gathered once, straight into the band-major columns [b, 1, |b|²], which
+    every bound reads too; each batch builds only its own rows
+    [-2a, |a|², 1] from them. Every operand holds the same floats whichever
+    batch builds it. This is exact:
     samples are integers of at most 16 bits, so every term is an integer
     and every partial sum is bounded by the sum of the terms' magnitudes,
     |a|² + |b|² + 2·|a·b| ≤ 4·bands·(2^depth − 1)², which stays below 2⁵³
@@ -337,7 +337,10 @@ def medoid_signature(image: MultibandImage, pixels, sample_cap: int = 4096) -> n
     subgradient (Weiszfeld's slope) gᵢ = Σ (xᵢ − xₖ)/d(i, k) over xₖ ≠ xᵢ is
     xᵢ·Σw − w·X with w = 1/d. Only a batch that leaves members live
     computes it, for them alone, in one matmul, and the next batch takes
-    the lowest bounds, until no member is live.
+    the lowest bounds, until no member is live. After a refinement that
+    drops no member the next 1, then 2, 4, … batches skip it, and one that
+    drops a member resets the wait: unrefined bounds are still bounds, and
+    inputs no bound prunes, such as a permutation orbit, refine O(log m) times.
 
     The slack covers rounding. Let u = 2⁻⁵³, L = 2^depth − 1 and D = √n·L
     for n bands, the largest distance; ‖gᵢ‖ < m and |gᵢ·x| ≤ m·D. Roots are
@@ -387,7 +390,7 @@ def medoid_signature(image: MultibandImage, pixels, sample_cap: int = 4096) -> n
     np.einsum("ij,ij->j", points, points, out=norms)
     max_dist = image.max_distance
     sums = np.full(m, np.inf)
-    vectors = None  # C-contiguous rows, built for the first tangent bound
+    skip, wait = 0, 1  # batches left unrefined, and the next such wait
     # the members neither settled nor dropped, nearest μ first, and lower bounds on their sums
     rest, low = _curvature_bounds(points, norms, max_dist)
     batch = rest[:_BATCH_ROWS]
@@ -397,14 +400,16 @@ def medoid_signature(image: MultibandImage, pixels, sample_cap: int = 4096) -> n
         sums[copy % m] = sums[batch[copy // m]]
         best = sums.min()
         live = (sums[rest] == np.inf) & ~(low > best)
-        if live.any():
-            if vectors is None:
-                vectors = np.ascontiguousarray(points.T)
+        if skip:
+            skip -= 1
+        elif live.any():
+            kept = np.count_nonzero(live)
             low[live] = np.maximum(
                 low[live],
-                _tangent_bounds(dist, sums[batch], vectors, batch, rest[live], max_dist),
+                _tangent_bounds(dist, sums[batch], points, batch, rest[live], max_dist),
             )
             live &= ~(low > best)
+            skip, wait = (0, 1) if np.count_nonzero(live) < kept else (wait, 2 * wait)
         rest, low = rest[live], low[live]
         if not rest.size:
             break

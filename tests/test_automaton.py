@@ -160,6 +160,19 @@ class TestAutomatonGrid:
         with pytest.raises(ContractError):
             AutomatonGrid(labels=labels, theta=theta, changed=np.zeros((2, 3), dtype=np.uint8))
 
+    def test_buffers_must_be_c_contiguous(self):
+        # a step writes through flat views of any grid it is handed as spare
+        labels = np.zeros((2, 3), dtype=np.uint32)
+        theta = np.zeros((2, 3), dtype=np.float64)
+        changed = np.zeros((2, 3), dtype=bool)
+        for args in (
+            (np.zeros((3, 2), dtype=np.uint32).T, theta, changed),
+            (labels, np.zeros((2, 6), dtype=np.float64)[:, ::2], changed),
+            (labels, theta, np.zeros((3, 2), dtype=bool).T),
+        ):
+            with pytest.raises(ContractError, match="C-contiguous"):
+                AutomatonGrid(*args)
+
     def test_nulled_joins_the_freed_cells_and_their_ring(self):
         # the freed cells and their Moore ring join the seed already marked
         grid = init_from_seeds(seed_map(6, 4, [(5, 1), (9, 2), (23, 3)]))
@@ -410,10 +423,10 @@ class TestRunToConvergence:
 
     @pytest.mark.parametrize("nb", list(NeighborhoodKind))
     def test_a_run_equals_its_steps(self, monkeypatch, nb):
-        # a run steps between buffers it owns; it must end where chaining
-        # steps on fresh buffers ends, bit for bit and with the same mask,
-        # count and flag, from seeds and from a nulled grid, capped or not,
-        # on 1 to 3 workers over 7-cell chunks, and leave its input as it was
+        # a run steps between the grid it is given and one of its own; it
+        # must end where chaining steps on fresh buffers ends, bit for bit
+        # and with the same mask, count and flag, from seeds and from a
+        # nulled grid, capped or not, on 1 to 3 workers over 7-cell chunks
         def chained(grid, weights, max_iters, threads):
             for steps in range(1, max_iters + 1):
                 grid, moved = evolve_step(grid, weights, threads=threads)
@@ -442,38 +455,70 @@ class TestRunToConvergence:
                 for threads in (1, 2, 3):
                     for max_iters in (2, 1000):
                         want, want_steps, want_conv = chained(start, weights, max_iters, threads)
-                        kept = [a.copy() for a in (start.labels, start.theta, start.changed)]
+                        given = AutomatonGrid(
+                            *(a.copy() for a in (start.labels, start.theta, start.changed))
+                        )
                         calls.clear()
                         monkeypatch.setattr(automaton, "evolve_step", counted)
                         got, steps, converged = run_to_convergence(
-                            start, weights, max_iters, threads=threads
+                            given, weights, max_iters, threads=threads
                         )
                         monkeypatch.setattr(automaton, "evolve_step", step)
                         assert (steps, converged) == (want_steps, want_conv)
                         assert got.labels.tobytes() == want.labels.tobytes()
                         assert got.theta.tobytes() == want.theta.tobytes()
                         assert (got.changed == want.changed).all()
-                        for array, before in zip((start.labels, start.theta, start.changed), kept):
-                            assert array.tobytes() == before.tobytes()
                         # one traced call per step, each on the grid the last one returned
                         assert len(calls) == 2 * steps
-                        assert calls[0] is start and calls[-1] is got
+                        assert calls[0] is given and calls[-1] is got
                         assert all(a is b for a, b in zip(calls[1:-1:2], calls[2::2]))
+                        # every second step is written into the given grid
+                        assert [r is given for r in calls[1::2]] == [k % 2 == 0 for k in range(1, steps + 1)]
+                        if steps == 1:
+                            for array, before in zip(
+                                (given.labels, given.theta, given.changed),
+                                (start.labels, start.theta, start.changed),
+                            ):
+                                assert array.tobytes() == before.tobytes()
+
+    def test_a_run_holds_one_grid_of_its_own(self):
+        # a wavefront from one seed moves 8k cells at step k, so the run's
+        # own grid is most of what it allocates: one grid, not two
+        import tracemalloc
+
+        n = 128
+        image = image_from(np.full((n, n, 2), 50))
+        weights = weights_for(image)
+        grid = init_from_seeds(seed_map(n, n, [(n // 2 * n + n // 2, 1)]))
+        grid_bytes = sum(a.nbytes for a in (grid.labels, grid.theta, grid.changed))
+        tracemalloc.start()
+        try:
+            out, steps, _ = run_to_convergence(grid, weights, max_iters=4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert steps == 4
+        assert peak < 1.5 * grid_bytes, (peak, grid_bytes)
+        assert int(out.labels.astype(bool).sum()) == 9 * 9
 
     def test_checks_what_it_does_not_build(self):
-        # weights other than neighbor_weights' are checked on every step,
-        # and a spare must be another grid of the step's shape
+        # only NeighborWeights of the grid's shape are taken, from
+        # neighbor_weights or built from triples, and a spare must be another
+        # grid of the step's shape
         image = image_from(np.full((3, 4, 1), 10))
         weights = weights_for(image)
         grid = init_from_seeds(seed_map(4, 3, [(5, 1)]))
         want, _ = evolve_step(grid, weights)
-        got, _ = evolve_step(grid, list(weights))
+        got, _ = evolve_step(grid, automaton.NeighborWeights(list(weights), (3, 4)))
         assert got.labels.tobytes() == want.labels.tobytes()
         assert got.theta.tobytes() == want.theta.tobytes()
+        for triples in (list(weights), list(weights)[1:]):
+            with pytest.raises(ContractError, match="NeighborWeights"):
+                evolve_step(grid, triples)
+            with pytest.raises(ContractError, match="NeighborWeights"):
+                run_to_convergence(grid, triples, max_iters=5)
         with pytest.raises(ContractError, match="mirrored pairs"):
-            evolve_step(grid, list(weights)[:-1])
-        with pytest.raises(ContractError, match="mirrored pairs"):
-            run_to_convergence(grid, list(weights)[1:], max_iters=5)
+            automaton.NeighborWeights(list(weights)[:-1], (3, 4))
         small = init_from_seeds(seed_map(3, 3, [(0, 1)]))
         for spare in (grid, small):
             with pytest.raises(ContractError, match="spare"):

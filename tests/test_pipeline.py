@@ -506,6 +506,21 @@ class TestCli:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines()[-1] == "False"
 
+    def test_importing_the_cli_loads_no_thread_pool(self):
+        # concurrent.futures (with logging) is imported by the first pool a
+        # step of several chunks builds, not by importing the package
+        code = (
+            "import sys\n"
+            "import ca_segment.cli\n"
+            "print('concurrent.futures' in sys.modules)\n"
+            "from ca_segment import automaton\n"
+            "automaton._pool(2)\n"
+            "print('concurrent.futures' in sys.modules)\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["False", "True"]
+
 
 SEGMENT_KEYS = {
     "steps_to_convergence", "converged", "segments_before", "segments_after",

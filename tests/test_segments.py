@@ -594,6 +594,24 @@ class TestMedoidSignature:
         # in batches of at most _BATCH_ROWS rows, however many stay live
         assert max(batches) <= segments._BATCH_ROWS
 
+    def test_refinement_backs_off_when_it_drops_nothing(self, monkeypatch):
+        # on a permutation orbit no bound drops a member, so after each
+        # refinement the wait doubles: 45 batches refine at batches 1, 3, 6,
+        # 11, 20 and 37 only, and the medoid is the brute-force one
+        refinements = []
+        refine = segments._tangent_bounds
+
+        def spy(*args):
+            refinements.append(args[3].size)
+            return refine(*args)
+
+        monkeypatch.setattr(segments, "_tangent_bounds", spy)
+        orbit = np.array(list(itertools.permutations(range(0, 60, 10))))
+        image = image_from(orbit.reshape(24, 30, 6))
+        got = medoid_signature(image, np.arange(720))
+        assert len(refinements) == 6
+        assert got.tolist() == orbit[reference.medoid_by_bruteforce(orbit)].tolist()
+
     def test_empty_pixel_list(self):
         image = image_from(np.zeros((1, 1, 1)))
         with pytest.raises(ContractError):
@@ -738,7 +756,7 @@ def test_tangent_bounds_never_exceed_row_sums(depth, kind):
             rows = rng.choice(m, size=int(rng.integers(1, min(m, 8) + 1)), replace=False)
             dist, sums = segments._distance_rows(vectors, right_t, rows)
             bounds = segments._tangent_bounds(
-                dist, sums, vectors, rows, np.arange(m), np.sqrt(bands) * top
+                dist, sums, vectors.T, rows, np.arange(m), np.sqrt(bands) * top
             )
             assert (bounds <= reference.distance_sums_by_blocks(vectors)).all(), (bands, m)
 
