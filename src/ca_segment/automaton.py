@@ -75,25 +75,25 @@ class AutomatonGrid:
         if not all(a.flags.c_contiguous for a in (self.labels, self.theta, self.changed)):
             raise ContractError("grid buffers must be C-contiguous")
 
-    def nulled(self, cells: np.ndarray) -> "AutomatonGrid":
-        """Copy of the grid with the ``cells`` mask set to null.
+    def null(self, cells: np.ndarray) -> None:
+        """Null the cells of the bool mask ``cells`` in place, refusing any other mask first.
 
         A freed cell loses its strength, so its neighbors' attacks on it can
         win again: the freed cells and their Moore ring, which holds the von
         Neumann one, join ``changed``. They join rather than replace it: a
         grid stopped short of convergence still has moved cells to evaluate.
         """
-        labels, theta = self.labels.copy(), self.theta.copy()
-        labels[cells] = 0
-        theta[cells] = 0.0
+        if not isinstance(cells, np.ndarray) or cells.dtype != np.bool_ or cells.shape != self.labels.shape:
+            raise ContractError("cells must be a bool mask of the grid's shape")
+        self.labels[cells] = 0
+        self.theta[cells] = 0.0
         # the 3x3 box dilation, one axis at a time
         rows = cells.copy()
         rows[1:] |= cells[:-1]
         rows[:-1] |= cells[1:]
-        ring = rows.copy()
-        ring[:, 1:] |= rows[:, :-1]
-        ring[:, :-1] |= rows[:, 1:]
-        return AutomatonGrid(labels=labels, theta=theta, changed=self.changed | ring)
+        self.changed |= rows
+        self.changed[:, 1:] |= rows[:, :-1]
+        self.changed[:, :-1] |= rows[:, 1:]
 
 
 def init_from_seeds(seeds: SeedMap) -> AutomatonGrid:

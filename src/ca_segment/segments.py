@@ -146,22 +146,21 @@ def extract_segments(labels: LabelRaster, connectivity: NeighborhoodKind) -> Seg
     return SegmentSet(segments=segments, shape=lab.shape)
 
 
-def null_small_segments(grid: AutomatonGrid, segs: SegmentSet, min_area: int):
-    """Null every segment below ``min_area``; returns (grid, cleared segment count).
+def null_small_segments(grid: AutomatonGrid, segs: SegmentSet, min_area: int) -> int:
+    """Null every segment below ``min_area`` in place; returns how many it cleared.
 
-    A grid with nothing to clear comes back untouched.
+    A refused call, or one with nothing to clear, writes nothing.
     """
     if min_area < 1:
         raise ContractError("min_area must be >= 1")
     if segs.shape != grid.labels.shape:
         raise ContractError("segment set does not match the grid dimensions")
     small = [seg for seg in segs.segments if seg.area < min_area]
-    if not small:
-        return grid, 0
-    freed = np.zeros(grid.labels.size, dtype=bool)
-    for seg in small:
-        freed[seg.pixels] = True
-    return grid.nulled(freed.reshape(grid.labels.shape)), len(small)
+    if small:
+        freed = np.zeros(grid.labels.size, dtype=bool)
+        freed[np.concatenate([seg.pixels for seg in small])] = True
+        grid.null(freed.reshape(grid.labels.shape))
+    return len(small)
 
 
 def eliminate_oversegmentation(
@@ -182,7 +181,9 @@ def eliminate_oversegmentation(
     carry the caller's extraction of ``grid`` so it is not labelled again.
     Returns (grid, rounds_used, cleared_per_round, segs), where ``segs`` is
     the extraction of the returned grid; a round only counts when it
-    cleared something, so a clean grid reports 0 rounds.
+    cleared something, so a clean grid reports 0 rounds. Like
+    ``run_to_convergence``, it overwrites its grid; a round that refuses
+    writes nothing.
     """
     if max_rounds < 1:
         raise ContractError("max_rounds must be >= 1")
@@ -193,15 +194,15 @@ def eliminate_oversegmentation(
     for _ in range(max_rounds):
         if not segs.segments:
             raise ContractError("grid carries no labeled segments; nothing to grow from")
-        nulled, cleared = null_small_segments(grid, segs, min_area)
-        if not cleared:
-            break
-        if cleared == len(segs.segments):
+        if all(seg.area < min_area for seg in segs.segments):
             raise ContractError(
                 f"every segment is below min_area={min_area}; nothing to grow from "
                 "(lower min_area or loosen the seeding parameters)"
             )
-        grid, _, _ = run_to_convergence(nulled, weights, max_iters, threads=threads)
+        cleared = null_small_segments(grid, segs, min_area)
+        if not cleared:
+            break
+        grid, _, _ = run_to_convergence(grid, weights, max_iters, threads=threads)
         segs = extract_segments(LabelRaster(labels=grid.labels), connectivity)
         cleared_per_round.append(cleared)
     return grid, len(cleared_per_round), cleared_per_round, segs
@@ -212,18 +213,17 @@ _BUCKETS = 8  # distance buckets of the curvature bound
 _TINY = 2.0**-1022  # the smallest normal float
 
 
-def _distance_rows(vectors, right_t, rows):
+def _distance_rows(right_t, rows):
     """Distances from the members ``rows`` to every member, and their sums.
 
-    ``vectors`` holds the m member vectors as rows, in any layout, and
-    ``right_t`` their augmented columns [b, 1, |b|²]. Only the batch's own
-    augmented rows [−2a, |a|², 1] are built, with |a|² read from
-    ``right_t``. Each row of the result is a C-contiguous array of length
-    m, so its sum does not depend on which batch computes it.
+    ``right_t`` holds the m members' augmented columns [b, 1, |b|²]. Only
+    the batch's own augmented rows [−2a, |a|², 1] are built, from its
+    columns. Each row of the result is a C-contiguous array of length m,
+    so its sum does not depend on which batch computes it.
     """
     n = right_t.shape[0] - 2
     left = np.empty((rows.size, n + 2))
-    np.multiply(vectors[rows], -2.0, out=left[:, :n])
+    np.multiply(right_t[:-2, rows].T, -2.0, out=left[:, :n])
     left[:, n] = right_t[-1].take(rows)
     left[:, n + 1] = 1.0
     dist = left @ right_t
@@ -395,7 +395,7 @@ def medoid_signature(image: MultibandImage, pixels, sample_cap: int = 4096) -> n
     rest, low = _curvature_bounds(points, norms, max_dist)
     batch = rest[:_BATCH_ROWS]
     while True:
-        dist, sums[batch] = _distance_rows(points.T, right_t, batch)
+        dist, sums[batch] = _distance_rows(right_t, batch)
         copy = np.flatnonzero(dist == 0)  # a member equal to a computed one has its row
         sums[copy % m] = sums[batch[copy // m]]
         best = sums.min()

@@ -41,6 +41,12 @@ def weights_for(image, nb=NeighborhoodKind.MOORE8):
     return neighbor_weights(image, nb, EPSILON)
 
 
+def copied(grid, changed=True):
+    """A grid of copies of ``grid``'s buffers; with ``changed`` false, one of unknown history."""
+    mask = grid.changed.copy() if changed else None
+    return AutomatonGrid(labels=grid.labels.copy(), theta=grid.theta.copy(), changed=mask)
+
+
 def random_setup(rng, max_side=32, max_bands=4):
     h = int(rng.integers(2, max_side + 1))
     w = int(rng.integers(2, max_side + 1))
@@ -178,7 +184,8 @@ class TestAutomatonGrid:
         grid = init_from_seeds(seed_map(6, 4, [(5, 1), (9, 2), (23, 3)]))
         freed = np.zeros((4, 6), dtype=bool)
         freed[1, 3] = freed[3, 5] = True
-        out = grid.nulled(freed)
+        out = copied(grid)
+        out.null(freed)
         assert out.labels.ravel().tolist() == [0] * 5 + [1] + [0] * 18
         assert (out.theta == (out.labels != 0)).all()
         assert out.changed.astype(int).tolist() == [
@@ -188,8 +195,24 @@ class TestAutomatonGrid:
             [0, 0, 0, 0, 1, 1],
         ]
         assert grid.labels.ravel()[[5, 9, 23]].tolist() == [1, 2, 3]
-        unknown = AutomatonGrid(labels=grid.labels, theta=grid.theta).nulled(freed)
+        unknown = copied(grid, changed=False)
+        unknown.null(freed)
         assert unknown.changed.all()
+
+    def test_null_refuses_a_mask_before_writing(self):
+        # an index array would null whole rows through labels[idx] before
+        # the ring marking failed, leaving the grid half nulled
+        grid = init_from_seeds(seed_map(4, 4, [(0, 1), (5, 2), (10, 3), (15, 4)]))
+        before = [a.tobytes() for a in (grid.labels, grid.theta, grid.changed)]
+        for cells in (
+            np.ones((4, 4), dtype=np.uint8),
+            np.array([1, 2]),
+            np.ones((4, 5), dtype=bool),
+            np.ones(16, dtype=bool),
+        ):
+            with pytest.raises(ContractError, match="bool mask"):
+                grid.null(cells)
+            assert [a.tobytes() for a in (grid.labels, grid.theta, grid.changed)] == before
 
 
 class TestInitFromSeeds:
@@ -370,8 +393,9 @@ def test_nulled_grid_runs_as_from_an_unknown_history(case):
     grid = init_from_seeds(seeds)
     grid, _, _ = run_to_convergence(grid, weights, max_iters=stop or 1000)
     freed = rng.random(grid.labels.shape) < rng.uniform(0.05, 0.6)
-    marked = grid.nulled(freed)
-    unknown = AutomatonGrid(labels=grid.labels, theta=grid.theta).nulled(freed)
+    marked, unknown = copied(grid), copied(grid, changed=False)
+    marked.null(freed)
+    unknown.null(freed)
     runs = [run_to_convergence(start, weights, max_iters=1000) for start in (marked, unknown)]
     (got, got_steps, got_conv), (want, want_steps, want_conv) = runs
     assert got_conv and want_conv
@@ -451,13 +475,13 @@ class TestRunToConvergence:
             seeded = init_from_seeds(seeds)
             settled, _, _ = chained(seeded, weights, 1000, 1)
             freed = rng.random(settled.labels.shape) < 0.3
-            for start in (seeded, settled.nulled(freed)):
+            nulled = copied(settled)
+            nulled.null(freed)
+            for start in (seeded, nulled):
                 for threads in (1, 2, 3):
                     for max_iters in (2, 1000):
                         want, want_steps, want_conv = chained(start, weights, max_iters, threads)
-                        given = AutomatonGrid(
-                            *(a.copy() for a in (start.labels, start.theta, start.changed))
-                        )
+                        given = copied(start)
                         calls.clear()
                         monkeypatch.setattr(automaton, "evolve_step", counted)
                         got, steps, converged = run_to_convergence(

@@ -35,6 +35,10 @@ def grid_from_labels(rows):
     return AutomatonGrid(labels=labels, theta=theta)
 
 
+def grid_bytes(grid):
+    return [a.tobytes() for a in (grid.labels, grid.theta, grid.changed)]
+
+
 def image_from(data):
     return MultibandImage(data=np.asarray(data, dtype=np.uint8), depth=8)
 
@@ -216,18 +220,20 @@ class TestNullSmallSegments:
         row = np.concatenate([np.full(n, v, dtype=np.uint32) for v, n in runs])
         grid = grid_from_labels(row[None, :])
         segs = extract_segments(LabelRaster(labels=grid.labels), NeighborhoodKind.MOORE8)
-        out, cleared = null_small_segments(grid, segs, min_area=150)
+        cleared = null_small_segments(grid, segs, min_area=150)
         assert cleared == 2
-        flat = out.labels.ravel()
+        flat = grid.labels.ravel()
         assert (flat[:152] == 0).all()
         assert (flat[152:302] == 3).all()
         assert (flat[302:1202] == 4).all()
-        assert ((out.labels == 0) == (out.theta == 0.0)).all()
+        assert ((grid.labels == 0) == (grid.theta == 0.0)).all()
 
     def test_input_grid_untouched(self):
+        # the grid handed over is nulled in place, so a caller keeps its own by copying
         grid = grid_from_labels([[1, 2, 2]])
         segs = extract_segments(LabelRaster(labels=grid.labels), NeighborhoodKind.MOORE8)
-        out, cleared = null_small_segments(grid, segs, min_area=2)
+        out = AutomatonGrid(labels=grid.labels.copy(), theta=grid.theta.copy())
+        cleared = null_small_segments(out, segs, min_area=2)
         assert cleared == 1
         assert grid.labels.tolist() == [[1, 2, 2]]
         assert out.labels.tolist() == [[0, 2, 2]]
@@ -235,15 +241,18 @@ class TestNullSmallSegments:
     def test_min_area_one_never_clears(self):
         grid = grid_from_labels([[1, 0], [0, 2]])
         segs = extract_segments(LabelRaster(labels=grid.labels), NeighborhoodKind.MOORE8)
-        out, cleared = null_small_segments(grid, segs, min_area=1)
+        before = grid_bytes(grid)
+        cleared = null_small_segments(grid, segs, min_area=1)
         assert cleared == 0
-        assert out is grid  # nothing cleared, nothing copied
+        assert grid_bytes(grid) == before  # nothing cleared, nothing written
 
     def test_invalid_min_area(self):
         grid = grid_from_labels([[1]])
         segs = extract_segments(LabelRaster(labels=grid.labels), NeighborhoodKind.MOORE8)
+        before = grid_bytes(grid)
         with pytest.raises(ContractError):
             null_small_segments(grid, segs, min_area=0)
+        assert grid_bytes(grid) == before
 
 
 class TestEliminateOversegmentation:
@@ -317,7 +326,8 @@ class TestEliminateOversegmentation:
         def eliminate_both(image, grid, min_area):
             weights = moore_weights(image)
             grid, _, converged = run_to_convergence(grid, weights, max_iters=2)
-            unknown = AutomatonGrid(labels=grid.labels, theta=grid.theta)
+            # elimination overwrites its grid, so the two starts share no buffer
+            unknown = AutomatonGrid(labels=grid.labels.copy(), theta=grid.theta.copy())
             results = []
             for start in (grid, unknown):
                 try:
@@ -364,13 +374,43 @@ class TestEliminateOversegmentation:
         assert rounds == 1
         assert out.labels.tolist() == [[1, 1, 1, 1, 1, 3, 3, 3, 3]]
 
+    def test_a_round_holds_one_grid_of_its_own(self):
+        # a round nulls the grid it is given, so what it allocates is the
+        # reconvergence's own grid and a few masks, not a nulled copy as well
+        import tracemalloc
+
+        n = 128
+        image = image_from(np.full((n, n, 2), 60))
+        blocks = np.arange(1, 17, dtype=np.uint32).reshape(4, 4)
+        labels = np.repeat(np.repeat(blocks, n // 4, axis=0), n // 4, axis=1)
+        for k in range(8):
+            labels[16 * k + 3 : 16 * k + 5, 16 * k + 9 : 16 * k + 11] = 17 + k
+        # at full strength every cell holds, so no cell is left to evaluate
+        grid = AutomatonGrid(labels, np.ones((n, n)), np.zeros((n, n), dtype=bool))
+        weights = moore_weights(image)
+        size = sum(a.nbytes for a in (grid.labels, grid.theta, grid.changed))
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            out, rounds, cleared, segs = eliminate_oversegmentation(
+                grid, weights, NeighborhoodKind.MOORE8, min_area=5, max_iters=2 * n, max_rounds=1,
+            )
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert (rounds, cleared) == (1, [8])
+        assert len(segs) == 16
+        assert peak < 1.5 * size, (peak, size)
+
     def test_all_small_is_an_error(self):
         image = image_from(np.full((2, 2, 1), 5))
         grid = grid_from_labels([[1, 0], [0, 2]])
+        before = grid_bytes(grid)
         with pytest.raises(ContractError, match="min_area"):
             eliminate_oversegmentation(
                 grid, moore_weights(image), NeighborhoodKind.MOORE8, min_area=3, max_iters=40,
             )
+        assert grid_bytes(grid) == before
 
     def test_unlabeled_grid_is_an_error(self):
         image = image_from(np.full((2, 2, 1), 5))
@@ -385,11 +425,13 @@ class TestEliminateOversegmentation:
         # elimination nulls through null_small_segments, which rejects these
         image = image_from(np.full((2, 2, 1), 5))
         grid = grid_from_labels([[1, 1], [1, 2]])
+        before = grid_bytes(grid)
         with pytest.raises(ContractError, match="min_area must be >= 1"):
             eliminate_oversegmentation(
                 grid, moore_weights(image), NeighborhoodKind.MOORE8,
                 min_area=min_area, max_iters=20,
             )
+        assert grid_bytes(grid) == before
 
     def test_invalid_max_rounds(self):
         image = image_from(np.full((1, 1, 1), 5))
@@ -551,8 +593,8 @@ class TestMedoidSignature:
         batches = []
         compute = segments._distance_rows
 
-        def spy(left, right_t, which):
-            dist, sums = compute(left, right_t, which)
+        def spy(right_t, which):
+            dist, sums = compute(right_t, which)
             rows.extend(which.tolist())
             batches.append(which.size)
             return dist, sums
@@ -754,7 +796,7 @@ def test_tangent_bounds_never_exceed_row_sums(depth, kind):
             ones = np.ones((m, 1))
             right_t = np.hstack((vectors, ones, norms)).T
             rows = rng.choice(m, size=int(rng.integers(1, min(m, 8) + 1)), replace=False)
-            dist, sums = segments._distance_rows(vectors, right_t, rows)
+            dist, sums = segments._distance_rows(right_t, rows)
             bounds = segments._tangent_bounds(
                 dist, sums, vectors.T, rows, np.arange(m), np.sqrt(bands) * top
             )
@@ -785,9 +827,9 @@ def test_distance_rows_match_the_difference_form(image):
     operands = []
     compute = segments._distance_rows
 
-    def spy(vectors, right_t, rows):
-        dist, sums = compute(vectors, right_t, rows)
-        operands.append((vectors, right_t))
+    def spy(right_t, rows):
+        dist, sums = compute(right_t, rows)
+        operands.append((right_t,))
         assert dist.tobytes() == want[rows].tobytes()
         assert sums.tobytes() == want[rows].sum(axis=1).tobytes()
         return dist, sums
