@@ -134,7 +134,7 @@ def _load_input(config: PipelineConfig):
 def _load_and_seed(config, times):
     """Validate the config, load the image and build its ranges and seeds.
 
-    Returns (image, preview band triple, ranges, seeds).
+    Returns (image, preview band triple, ranges, seeds, seed count).
     """
     config.validate()
     with _phase(times, "load"):
@@ -154,7 +154,8 @@ def _load_and_seed(config, times):
         seeds = seeding.generate_seeds(
             image, ranges, delta_rel=config.delta_rel, stride=config.stride
         )
-    if len(seeds) == 0:
+    seed_count = len(seeds)
+    if seed_count == 0:
         raise ContractError(
             "no seeds produced: no subsampled pixel has a band sum inside the "
             f"selected ranges {[(r.lo, r.hi) for r in ranges]} "
@@ -163,18 +164,18 @@ def _load_and_seed(config, times):
             f"min_separation={config.min_separation}, half_width={config.half_width}, "
             f"max_peaks={config.max_peaks}, stride={config.stride})"
         )
-    return image, preview, ranges, seeds
+    return image, preview, ranges, seeds, seed_count
 
 
-def _report(config, image, ranges, seeds, times, **fields) -> RunReport:
+def _report(config, image, ranges, seed_count, times, **fields) -> RunReport:
     """Build the run's report and write it to ``out_stats`` if one is set."""
     report = RunReport(
         width=image.width,
         height=image.height,
         bands=image.bands,
         depth=image.depth,
-        seed_count=len(seeds),
-        seed_fraction=round(len(seeds) / (image.width * image.height), 6),
+        seed_count=seed_count,
+        seed_fraction=round(seed_count / (image.width * image.height), 6),
         ranges=ranges,
         timings={k: round(v, 6) for k, v in times.items()},
         **fields,
@@ -214,7 +215,7 @@ def _label_summary(seeds: seeding.SeedMap, final: segmod.SegmentSet | None = Non
 def run_seeds(config: PipelineConfig) -> RunReport:
     """Histogram, range and seed construction only; writes the seed raster."""
     times = {}
-    image, _, ranges, seeds = _load_and_seed(config, times)
+    image, _, ranges, seeds, seed_count = _load_and_seed(config, times)
 
     summary = _label_summary(seeds)
     with _phase(times, "write"):
@@ -224,7 +225,7 @@ def run_seeds(config: PipelineConfig) -> RunReport:
             )
 
     return _report(
-        config, image, ranges, seeds, times,
+        config, image, ranges, seed_count, times,
         mode="seeds",
         **summary,
     )
@@ -233,7 +234,7 @@ def run_seeds(config: PipelineConfig) -> RunReport:
 def run_segment(config: PipelineConfig) -> RunReport:
     """The full pipeline: seed, converge, enforce the study scale, sign."""
     times = {}
-    image, preview, ranges, seeds = _load_and_seed(config, times)
+    image, preview, ranges, seeds, seed_count = _load_and_seed(config, times)
 
     max_iters = config.max_iters
     if max_iters is None:
@@ -265,7 +266,7 @@ def run_segment(config: PipelineConfig) -> RunReport:
     with _phase(times, "signatures"):
         seg_rows = []
         for seg in final.segments:
-            signature = segmod.medoid_signature(image, seg.pixels)
+            signature = segmod.medoid_signature(image, seg)
             seg_rows.append(
                 {
                     "id": seg.id,
@@ -291,7 +292,7 @@ def run_segment(config: PipelineConfig) -> RunReport:
             )
 
     return _report(
-        config, image, ranges, seeds, times,
+        config, image, ranges, seed_count, times,
         mode="segment",
         **summary,
         steps_to_convergence=steps,

@@ -51,11 +51,12 @@ class Segment:
     def area(self) -> int:
         return int(self.lengths.sum())
 
-    @property
-    def pixels(self) -> np.ndarray:
-        """The members' ascending flat indices, expanded from the runs."""
-        before = np.cumsum(self.lengths) - self.lengths
-        return np.repeat(self.starts - before, self.lengths) + np.arange(self.area)
+
+def _members_at(starts, lengths, places):
+    """Flat indices of the members at ``places`` counted through the runs in order."""
+    ends = np.cumsum(lengths)
+    run = np.searchsorted(ends, places, side="right")
+    return starts[run] + places - (ends[run] - lengths[run])
 
 
 @dataclass
@@ -157,8 +158,9 @@ def null_small_segments(grid: AutomatonGrid, segs: SegmentSet, min_area: int) ->
         raise ContractError("segment set does not match the grid dimensions")
     small = [seg for seg in segs.segments if seg.area < min_area]
     if small:
+        runs = np.concatenate([(seg.starts, seg.lengths) for seg in small], axis=1)
         freed = np.zeros(grid.labels.size, dtype=bool)
-        freed[np.concatenate([seg.pixels for seg in small])] = True
+        freed[_members_at(*runs, np.arange(runs[1].sum()))] = True
         grid.null(freed.reshape(grid.labels.shape))
     return len(small)
 
@@ -285,12 +287,12 @@ def _curvature_bounds(points, norms, max_dist):
     return order, low[order]
 
 
-def medoid_signature(image: MultibandImage, pixels, sample_cap: int = 4096) -> np.ndarray:
+def medoid_signature(image: MultibandImage, segment: Segment, sample_cap: int = 4096) -> np.ndarray:
     """Member vector minimizing the summed Euclidean distance to the segment.
 
-    Ties break toward the lowest pixel index. Segments larger than
-    ``sample_cap`` are reduced to a deterministic evenly strided subsample
-    of exactly ``sample_cap`` members before the quadratic scan.
+    Ties break toward the lowest pixel index, as a segment's runs ascend. A
+    segment of area A over ``sample_cap`` keeps for the quadratic scan the
+    m = ``sample_cap`` members at places ⌊k·A/m⌋ in run order, found from its runs.
 
     Each batch of squared distances is one matmul over augmented vectors,
     [-2a, |a|², 1] · [b, 1, |b|²]ᵀ = |a|² + |b|² − 2·a·b. The members are
@@ -371,18 +373,15 @@ def medoid_signature(image: MultibandImage, pixels, sample_cap: int = 4096) -> n
     could hold the minimum is computed or copied, and the argmin, lowest
     index first, is the one over all m rows.
     """
-    idx = np.asarray(pixels, dtype=np.int64)
-    if idx.size == 0:
-        raise ContractError("medoid of an empty pixel list")
+    area = segment.area
+    if area == 0:
+        raise ContractError("medoid of an empty segment")
     if sample_cap < 1:
         raise ContractError("sample_cap must be >= 1")
-    idx = np.sort(idx, kind="stable")  # one run when the pixels arrive ascending
-    if idx.size > sample_cap:
-        take = (np.arange(sample_cap, dtype=np.int64) * idx.size) // sample_cap
-        idx = idx[take]
+    m = min(area, sample_cap)
+    idx = _members_at(segment.starts, segment.lengths, np.arange(m, dtype=np.int64) * area // m)
 
     flat = image.data.reshape(-1, image.bands)
-    m = idx.size
     right_t = np.empty((image.bands + 2, m))  # C order: each band is one contiguous row
     points, norms = right_t[:-2], right_t[-1]
     points[...] = flat[idx].T

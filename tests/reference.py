@@ -310,6 +310,23 @@ def segment_by_loop(data, depth, config):
     }
 
 
+def row_runs(pixels, width):
+    """Ascending int64 (starts, lengths) of the flat indices ``pixels``, cut at row ends."""
+    starts, lengths = [], []
+    for p in sorted(int(p) for p in pixels):
+        if starts and p == starts[-1] + lengths[-1] and p % width:
+            lengths[-1] += 1
+        else:
+            starts.append(p)
+            lengths.append(1)
+    return np.array(starts, dtype=np.int64), np.array(lengths, dtype=np.int64)
+
+
+def expand_runs(starts, lengths):
+    """The flat indices the runs cover, run by run."""
+    return [p for s, n in zip(starts.tolist(), lengths.tolist()) for p in range(s, s + n)]
+
+
 def medoid_by_bruteforce(vectors):
     """Index of the medoid by the full pairwise-distance matrix."""
     arr = np.asarray(vectors, dtype=np.float64)

@@ -21,6 +21,7 @@ from ca_segment import (
     NeighborhoodKind,
     PipelineConfig,
     SeedMap,
+    Segment,
     classify_spectral_region,
     compute_sum_histogram,
     eliminate_oversegmentation,
@@ -247,7 +248,7 @@ def test_medoid_oracle(capsys):
             )
             k = int(rng.integers(1, 513))
             pixels = np.sort(rng.choice(64 * 64, size=k, replace=False))
-            got = medoid_signature(image, pixels)
+            got = medoid_signature(image, Segment(1, 1, *reference.row_runs(pixels, image.width)))
             vectors = image.data.reshape(-1, bands)[pixels]
             want = vectors[reference.medoid_by_bruteforce(vectors)]
             assert got.tolist() == want.tolist()

@@ -16,6 +16,7 @@ from ca_segment import (
     NeighborhoodKind,
     eliminate_oversegmentation,
     SeedMap,
+    Segment,
     extract_segments,
     init_from_seeds,
     medoid_signature,
@@ -39,6 +40,16 @@ def grid_bytes(grid):
     return [a.tobytes() for a in (grid.labels, grid.theta, grid.changed)]
 
 
+def pixels_of(seg):
+    """A segment's flat indices, expanded from its runs."""
+    return reference.expand_runs(seg.starts, seg.lengths)
+
+
+def segment_of(pixels, width):
+    """A one-label segment of the flat indices ``pixels``, as row runs cut at row ends."""
+    return Segment(1, 1, *reference.row_runs(pixels, width))
+
+
 def image_from(data):
     return MultibandImage(data=np.asarray(data, dtype=np.uint8), depth=8)
 
@@ -56,7 +67,7 @@ def assert_extraction_of(segs, labels, connectivity=NeighborhoodKind.MOORE8):
         assert (got.id, got.label, got.area) == (want.id, want.label, want.area)
         assert got.starts.tolist() == want.starts.tolist()
         assert got.lengths.tolist() == want.lengths.tolist()
-        assert got.pixels.tolist() == want.pixels.tolist()
+        assert pixels_of(got) == pixels_of(want)
 
 
 def assert_runs_are_rows(segs, labels):
@@ -69,7 +80,7 @@ def assert_runs_are_rows(segs, labels):
         assert ((starts + lengths - 1) // w == starts // w).all()
         assert (starts[1:] >= starts[:-1] + lengths[:-1]).all()
         assert int(lengths.sum()) == seg.area
-        assert (labels.ravel()[seg.pixels] == seg.label).all()
+        assert (labels.ravel()[pixels_of(seg)] == seg.label).all()
 
 
 class TestExtractSegments:
@@ -77,9 +88,9 @@ class TestExtractSegments:
         segs = extract_segments(raster([[1, 1], [2, 2]]), NeighborhoodKind.MOORE8)
         assert len(segs) == 2
         assert segs.segments[0].label == 1
-        assert segs.segments[0].pixels.tolist() == [0, 1]
+        assert pixels_of(segs.segments[0]) == [0, 1]
         assert segs.segments[1].label == 2
-        assert segs.segments[1].pixels.tolist() == [2, 3]
+        assert pixels_of(segs.segments[1]) == [2, 3]
         assert segs.id_raster().tolist() == [[1, 1], [2, 2]]
 
     def test_checkerboard_splits_under_edge_connectivity(self):
@@ -94,7 +105,7 @@ class TestExtractSegments:
     def test_ids_follow_first_pixel_order(self):
         segs = extract_segments(raster([[2, 1], [1, 2]]), NeighborhoodKind.VONNEUMANN4)
         assert [s.id for s in segs.segments] == [1, 2, 3, 4]
-        assert [s.pixels[0] for s in segs.segments] == [0, 1, 2, 3]
+        assert [pixels_of(s)[0] for s in segs.segments] == [0, 1, 2, 3]
         assert [s.label for s in segs.segments] == [2, 1, 1, 2]
 
     def test_same_label_disjoint_components_split(self):
@@ -117,7 +128,7 @@ class TestExtractSegments:
         for rows, members in cases:
             for nb in NeighborhoodKind:
                 segs = extract_segments(raster(rows), nb)
-                assert [s.pixels.tolist() for s in segs.segments] == members, (rows, nb)
+                assert [pixels_of(s) for s in segs.segments] == members, (rows, nb)
                 assert_matches_bfs(np.asarray(rows, dtype=np.uint32), nb)
 
     def test_all_null(self):
@@ -137,7 +148,7 @@ class TestExtractSegments:
                 assert len(segs) == len(expected)
                 assert_runs_are_rows(segs, labels)
                 for seg, members in zip(segs.segments, expected):
-                    assert seg.pixels.tolist() == members
+                    assert pixels_of(seg) == members
                     assert seg.area == len(members)
                     assert (segs.id_raster().ravel()[members] == seg.id).all()
                 assert sum(s.area for s in segs.segments) == int((labels != 0).sum())
@@ -146,7 +157,7 @@ class TestExtractSegments:
 def assert_matches_bfs(labels, connectivity):
     segs = extract_segments(raster(labels), connectivity)
     expected = reference.components_by_bfs(labels, connectivity.offsets())
-    assert [s.pixels.tolist() for s in segs.segments] == expected
+    assert [pixels_of(s) for s in segs.segments] == expected
     assert [s.id for s in segs.segments] == list(range(1, len(expected) + 1))
     flat = labels.ravel()
     assert [s.label for s in segs.segments] == [int(flat[m[0]]) for m in expected]
@@ -253,6 +264,32 @@ class TestNullSmallSegments:
         with pytest.raises(ContractError):
             null_small_segments(grid, segs, min_area=0)
         assert grid_bytes(grid) == before
+
+
+@settings(max_examples=200, deadline=None)
+@given(label_grids(), st.integers(1, 8), st.integers(0, 2**32 - 1))
+def test_null_frees_exactly_the_small_components(labels, min_area, seed):
+    # on multi-row grids, the nulled cells are the union of the components
+    # below min_area, and changed gains exactly their 3x3 neighborhoods
+    h, w = labels.shape
+    rng = np.random.default_rng(seed)
+    theta = rng.random((h, w))
+    changed = rng.random((h, w)) < 0.3
+    for nb in NeighborhoodKind:
+        small = [m for m in reference.components_by_bfs(labels, nb.offsets()) if len(m) < min_area]
+        freed = np.zeros(labels.size, dtype=bool)
+        for m in small:
+            freed[m] = True
+        freed = freed.reshape(h, w)
+        ring = np.zeros((h, w), dtype=bool)
+        for r, c in zip(*np.nonzero(freed)):
+            ring[max(r - 1, 0) : r + 2, max(c - 1, 0) : c + 2] = True
+        grid = AutomatonGrid(labels.copy(), theta.copy(), changed.copy())
+        segs = extract_segments(raster(labels), nb)
+        assert null_small_segments(grid, segs, min_area) == len(small)
+        assert (grid.labels == np.where(freed, 0, labels)).all()
+        assert (grid.theta == np.where(freed, 0.0, theta)).all()
+        assert (grid.changed == (changed | ring)).all()
 
 
 class TestEliminateOversegmentation:
@@ -469,22 +506,22 @@ class TestEliminateOversegmentation:
 class TestMedoidSignature:
     def test_single_pixel(self):
         image = image_from([[[3, 4], [9, 9]]])
-        assert medoid_signature(image, [0]).tolist() == [3, 4]
+        assert medoid_signature(image, segment_of([0], image.width)).tolist() == [3, 4]
 
     def test_central_vector_wins(self):
         image = image_from([[[0, 0], [0, 1], [10, 10]]])
-        assert medoid_signature(image, [0, 1, 2]).tolist() == [0, 1]
+        assert medoid_signature(image, segment_of([0, 1, 2], image.width)).tolist() == [0, 1]
 
     def test_two_member_tie_takes_lower_index(self):
         image = image_from([[[0], [4]]])
-        assert medoid_signature(image, [0, 1]).tolist() == [0]
-        assert medoid_signature(image, [1, 0]).tolist() == [0]
+        assert medoid_signature(image, segment_of([0, 1], image.width)).tolist() == [0]
+        assert medoid_signature(image, segment_of([1, 0], image.width)).tolist() == [0]
 
     def test_preserves_input_dtype(self):
         data = np.full((1, 2, 2), 40000, dtype=np.uint16)
         data[0, 1] = (1, 1)
         image = MultibandImage(data=data, depth=16)
-        sig = medoid_signature(image, [0, 1])
+        sig = medoid_signature(image, segment_of([0, 1], image.width))
         assert sig.dtype == np.uint16
 
     def test_matches_bruteforce_oracle(self):
@@ -495,7 +532,7 @@ class TestMedoidSignature:
             image = image_from(rng.integers(0, 256, size=(flat_side, flat_side, bands)))
             k = int(rng.integers(1, 65))
             pixels = np.sort(rng.choice(flat_side * flat_side, size=k, replace=False))
-            got = medoid_signature(image, pixels)
+            got = medoid_signature(image, segment_of(pixels, image.width))
             vectors = image.data.reshape(-1, bands)[pixels]
             want = vectors[reference.medoid_by_bruteforce(vectors)]
             assert got.tolist() == want.tolist()
@@ -505,7 +542,7 @@ class TestMedoidSignature:
         image = image_from(rng.integers(0, 256, size=(40, 40, 3)))
         pixels = np.sort(rng.choice(1600, size=900, replace=False))
         cap = 128
-        got = medoid_signature(image, pixels, sample_cap=cap)
+        got = medoid_signature(image, segment_of(pixels, image.width), sample_cap=cap)
         take = (np.arange(cap, dtype=np.int64) * 900) // cap
         sub = image.data.reshape(-1, 3)[pixels[take]]
         want = sub[reference.medoid_by_bruteforce(sub)]
@@ -526,7 +563,7 @@ class TestMedoidSignature:
                 palette = rng.choice([0, 65535], size=(distinct, bands))
                 vectors = palette[rng.permutation(np.arange(k) % distinct)].astype(np.uint16)
                 image = MultibandImage(data=vectors[None], depth=16)
-                got = medoid_signature(image, np.arange(k))
+                got = medoid_signature(image, segment_of(np.arange(k), image.width))
                 want = vectors[reference.medoid_by_bruteforce(vectors)]
                 assert got.tolist() == want.tolist()
 
@@ -539,7 +576,7 @@ class TestMedoidSignature:
             image = MultibandImage(data=data, depth=16)
             vectors = data.reshape(-1, bands)
             assert reference.medoid_by_bruteforce(vectors) == 0
-            assert medoid_signature(image, np.arange(100)).tolist() == b.tolist()
+            assert medoid_signature(image, segment_of(np.arange(100), image.width)).tolist() == b.tolist()
 
     def test_sixteen_bit_capped_subsample_matches_oracle(self):
         rng = np.random.default_rng(89)
@@ -549,7 +586,7 @@ class TestMedoidSignature:
         image = MultibandImage(data=data, depth=16)
         pixels = np.sort(rng.choice(3600, size=3000, replace=False))
         cap = 700
-        got = medoid_signature(image, pixels, sample_cap=cap)
+        got = medoid_signature(image, segment_of(pixels, image.width), sample_cap=cap)
         take = (np.arange(cap, dtype=np.int64) * 3000) // cap
         sub = data.reshape(-1, bands)[pixels[take]]
         want = sub[reference.medoid_by_bruteforce(sub)]
@@ -562,7 +599,7 @@ class TestMedoidSignature:
         # equal numbers, whose exact ties only the lowest index breaks
         image = clustered_image(np.random.default_rng(97), 80, 4)
         pixels = np.arange(3000) * 2
-        got = medoid_signature(image, pixels)
+        got = medoid_signature(image, segment_of(pixels, image.width))
         vectors = image.data.reshape(-1, 4)[pixels]
         assert got.tolist() == vectors[reference.medoid_by_blocks(vectors)].tolist()
 
@@ -574,7 +611,7 @@ class TestMedoidSignature:
         pixels = np.sort(rng.choice(3600, size=3000, replace=False))
         for cap in (2048, 4096):
             m = min(cap, 3000)
-            got = medoid_signature(image, pixels, sample_cap=cap)
+            got = medoid_signature(image, segment_of(pixels, image.width), sample_cap=cap)
             sub = data.reshape(-1, bands)[pixels[(np.arange(m) * 3000) // m]]
             assert got.tolist() == sub[reference.medoid_by_blocks(sub)].tolist()
 
@@ -584,7 +621,7 @@ class TestMedoidSignature:
             palette = rng.choice([0, 65535], size=(int(rng.integers(2, 6)), bands))
             vectors = palette[rng.permutation(np.arange(3000) % len(palette))].astype(np.uint16)
             image = MultibandImage(data=vectors.reshape(50, 60, bands), depth=16)
-            got = medoid_signature(image, np.arange(3000))
+            got = medoid_signature(image, segment_of(np.arange(3000), image.width))
             assert got.tolist() == vectors[reference.medoid_by_blocks(vectors)].tolist()
 
     def test_pruning_skips_rows(self, monkeypatch):
@@ -601,11 +638,11 @@ class TestMedoidSignature:
 
         monkeypatch.setattr(segments, "_distance_rows", spy)
         image = clustered_image(np.random.default_rng(101), 80, 4)
-        medoid_signature(image, np.arange(80 * 80))
+        medoid_signature(image, segment_of(np.arange(80 * 80), image.width))
         assert 0 < len(rows) < 4096 // 16
 
         rows.clear()
-        medoid_signature(image, np.arange(2047))
+        medoid_signature(image, segment_of(np.arange(2047), image.width))
         assert 0 < len(rows) < 2047 // 8
 
         # a textured 16-bit, 8-band segment, like a sparse-scene region: the
@@ -615,14 +652,14 @@ class TestMedoidSignature:
         rng = np.random.default_rng(0)
         data = rng.normal(rng.integers(20000, 45000, size=8), 4000, size=(40, 40, 8))
         image = MultibandImage(data=np.clip(np.rint(data), 0, 65535).astype(np.uint16), depth=16)
-        medoid_signature(image, np.arange(1600))
+        medoid_signature(image, segment_of(np.arange(1600), image.width))
         assert 0 < len(batches) <= 2
 
         # a member equal to a computed one takes that row's sum, so identical
         # members compute one batch
         rows.clear()
         image = image_from(np.broadcast_to([7, 200, 31], (40, 50, 3)))
-        medoid_signature(image, np.arange(2000))
+        medoid_signature(image, segment_of(np.arange(2000), image.width))
         assert 0 < len(rows) <= segments._BATCH_ROWS
 
         # every permutation of one vector: all sums are equal and all members
@@ -631,7 +668,7 @@ class TestMedoidSignature:
         batches.clear()
         orbit = np.array(list(itertools.permutations(range(0, 60, 10))))
         image = image_from(orbit.reshape(24, 30, 6))
-        medoid_signature(image, np.arange(720))
+        medoid_signature(image, segment_of(np.arange(720), image.width))
         assert sorted(rows) == list(range(720))
         # in batches of at most _BATCH_ROWS rows, however many stay live
         assert max(batches) <= segments._BATCH_ROWS
@@ -650,19 +687,19 @@ class TestMedoidSignature:
         monkeypatch.setattr(segments, "_tangent_bounds", spy)
         orbit = np.array(list(itertools.permutations(range(0, 60, 10))))
         image = image_from(orbit.reshape(24, 30, 6))
-        got = medoid_signature(image, np.arange(720))
+        got = medoid_signature(image, segment_of(np.arange(720), image.width))
         assert len(refinements) == 6
         assert got.tolist() == orbit[reference.medoid_by_bruteforce(orbit)].tolist()
 
     def test_empty_pixel_list(self):
         image = image_from(np.zeros((1, 1, 1)))
         with pytest.raises(ContractError):
-            medoid_signature(image, [])
+            medoid_signature(image, segment_of([], image.width))
 
     def test_invalid_sample_cap(self):
         image = image_from(np.zeros((1, 1, 1)))
         with pytest.raises(ContractError):
-            medoid_signature(image, [0], sample_cap=0)
+            medoid_signature(image, segment_of([0], image.width), sample_cap=0)
 
 
 def clustered_image(rng, side, bands):
@@ -714,9 +751,83 @@ def test_bounded_medoid_matches_bruteforce(case):
     m = image.width
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(segments, "_BATCH_ROWS", block_rows)
-        got = medoid_signature(image, np.arange(m))
+        got = medoid_signature(image, segment_of(np.arange(m), image.width))
     vectors = image.data[0]
     assert got.tolist() == vectors[reference.medoid_by_bruteforce(vectors)].tolist()
+
+
+@st.composite
+def run_layouts(draw):
+    """(segment of ascending runs over up to 8 rows, its row width, sample cap).
+
+    Runs may split a row's stretch of members; the cap is below, equal to or
+    above the area.
+    """
+    h, w = draw(st.integers(1, 8)), draw(st.integers(1, 24))
+    cells = draw(hnp.arrays(np.bool_, (h, w)))
+    cells.flat[draw(st.integers(0, h * w - 1))] = True
+    cuts = draw(hnp.arrays(np.bool_, (h, w)))
+    after = np.zeros((h, w), dtype=bool)
+    after[:, 1:] = cells[:, :-1]
+    starts, lengths = [], []
+    for p in np.flatnonzero(cells):
+        if cuts.flat[p] or not after.flat[p]:
+            starts.append(p)
+            lengths.append(0)
+        lengths[-1] += 1
+    area = int(cells.sum())
+    cap = draw(st.sampled_from((
+        max(area - draw(st.integers(1, area)), 1), area, area + draw(st.integers(1, 5))
+    )))
+    segment = Segment(1, 1, np.array(starts, dtype=np.int64), np.array(lengths, dtype=np.int64))
+    return segment, w, cap
+
+
+@settings(max_examples=300, deadline=None)
+@given(run_layouts())
+def test_medoid_keeps_the_strided_sample_of_the_runs(case):
+    # each pixel's one band is its flat index, so the gathered points name
+    # the kept members: the k-th is member floor(k * area / m) in run order
+    segment, w, cap = case
+    h = int(segment.starts[-1]) // w + 1
+    image = MultibandImage(data=np.arange(h * w, dtype=np.uint16).reshape(h, w, 1), depth=16)
+    kept = []
+    bounds = segments._curvature_bounds
+
+    def spy(points, norms, max_dist):
+        kept.extend(points[0].astype(np.int64).tolist())
+        return bounds(points, norms, max_dist)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(segments, "_curvature_bounds", spy)
+        got = medoid_signature(image, segment, sample_cap=cap)
+    every = pixels_of(segment)
+    m = min(len(every), cap)
+    assert kept == [every[k * len(every) // m] for k in range(m)]
+    vectors = np.array(kept)[:, None]
+    assert got.tolist() == vectors[reference.medoid_by_bruteforce(vectors)].tolist()
+
+
+def test_extracted_multi_row_segments_match_bruteforce_oracle():
+    # segments as extraction returns them, whose runs span many rows, against
+    # the oracle on their expanded members, whole and at a cap that samples
+    # across runs
+    image = clustered_image(np.random.default_rng(113), 24, 3)
+    labels = np.ones((24, 24), dtype=np.uint32)
+    rr, cc = np.mgrid[:24, :24]
+    labels[(rr - 9) ** 2 + (cc - 13) ** 2 <= 36] = 2
+    labels[16:22, 2:20] = 3
+    labels[18:, 5:8] = 1
+    segs = extract_segments(raster(labels), NeighborhoodKind.MOORE8)
+    assert sum(seg.lengths.size > 1 for seg in segs.segments) >= 3
+    flat = image.data.reshape(-1, 3)
+    for seg in segs.segments:
+        vectors = flat[pixels_of(seg)]
+        for cap in (4096, 37):
+            m = min(seg.area, cap)
+            sub = vectors[(np.arange(m) * seg.area) // m]
+            got = medoid_signature(image, seg, sample_cap=cap)
+            assert got.tolist() == sub[reference.medoid_by_bruteforce(sub)].tolist()
 
 
 def members_at_mu(bands, top):
@@ -837,7 +948,7 @@ def test_distance_rows_match_the_difference_form(image):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(segments, "_distance_rows", spy)
         mp.setattr(segments, "_BATCH_ROWS", 3)
-        medoid_signature(image, np.arange(image.width))
+        medoid_signature(image, segment_of(np.arange(image.width), image.width))
     dist, sums = compute(*operands[0], np.arange(image.width))
     assert dist.tobytes() == want.tobytes()
     assert sums.tobytes() == want.sum(axis=1).tobytes()
