@@ -21,7 +21,6 @@ from __future__ import annotations
 import enum
 import functools
 from dataclasses import dataclass
-from itertools import repeat
 
 import numpy as np
 
@@ -193,7 +192,7 @@ def neighbor_weights(image: MultibandImage, nb: NeighborhoodKind, epsilon: float
     return NeighborWeights([(dr, dc, planes[dr, dc]) for dr, dc in offsets], (h, w))
 
 
-def _attack(off, plane, cells, labels, theta, new_labels, new_theta, changed):
+def _attack(off, plane, new_labels, new_theta, changed, cells, labels, theta):
     """Push the attacks of the flat ``cells`` on their neighbors ``cells - off``.
 
     ``plane`` is the flat plane of the mirrored offset −off, so
@@ -204,7 +203,8 @@ def _attack(off, plane, cells, labels, theta, new_labels, new_theta, changed):
     distinct, so writing each strict win keeps the running maximum and the
     last strict win in ``new_theta`` and ``new_labels``, as the sequential
     scan does. Each target won is marked in ``changed``; returns how many
-    were won.
+    were won. The chunk's own arguments come last, so that one partial
+    binds the rest for every chunk of an offset.
     """
     target = cells - off
     att = plane.take(cells)
@@ -235,12 +235,14 @@ def evolve_step(grid: AutomatonGrid, weights, threads: int = 1, *, spare: Automa
     in ``grid.changed`` attack: an attack from any other cell is no
     stronger than its target, so it cannot strictly win. The offsets are
     taken in their fixed order; for each, the attackers are cut into chunks
-    of ``_CHUNK`` cells, which hit disjoint targets. A step of several
-    chunks on ``threads`` > 1 runs them on a pool of that many workers, and
-    any other step on the calling thread. The result is independent of
-    both. Each chunk marks the targets it wins in the new grid's
-    ``changed``: the cells that moved, the only ones whose attacks can win
-    the next step. The input grid is left untouched.
+    of ``_CHUNK`` cells, which hit disjoint targets. One loop maps them for
+    every thread count: a step of several chunks on ``threads`` > 1 maps
+    them onto a pool of that many workers, and any other step maps them on
+    the calling thread. The pool changes only which thread runs a chunk,
+    not the loop that runs it, so the result is independent of both. Each
+    chunk marks the targets it wins in the new grid's ``changed``: the
+    cells that moved, the only ones whose attacks can win the next step.
+    The input grid is left untouched.
 
     The new grid has fresh buffers unless ``spare`` is given: the grid that
     ``grid`` was stepped from, which differs from it only at the cells
@@ -267,17 +269,11 @@ def evolve_step(grid: AutomatonGrid, weights, threads: int = 1, *, spare: Automa
     changed.fill(False)
     starts = range(0, cells.size, _CHUNK)
     parts = [[array[i : i + _CHUNK] for i in starts] for array in (cells, old_labels, old_theta)]
+    jobs = _pool(threads).map if threads > 1 and len(starts) > 1 else map
     moved = 0
-    if threads > 1 and len(starts) > 1:
-        jobs = _pool(threads).map
-        for off, plane in weights.attacks:
-            # every chunk of one offset lands before the next offset starts
-            moved += sum(jobs(_attack, repeat(off), repeat(plane), *parts,
-                              repeat(new_labels), repeat(new_theta), repeat(changed)))
-    else:
-        for off, plane in weights.attacks:
-            for part in zip(*parts):
-                moved += _attack(off, plane, *part, new_labels, new_theta, changed)
+    for off, plane in weights.attacks:
+        # every chunk of one offset lands before the next offset starts
+        moved += sum(jobs(functools.partial(_attack, off, plane, new_labels, new_theta, changed), *parts))
     return spare, moved > 0
 
 

@@ -273,10 +273,7 @@ def main(argv=None) -> int:
                     fh.write(text)
             else:
                 sys.stdout.write(text)
-    except SegmenterError as exc:
-        print(f"ca-segment: error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (SegmenterError, OSError) as exc:
         print(f"ca-segment: error: {exc}", file=sys.stderr)
         return 2
     return 0

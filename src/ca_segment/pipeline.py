@@ -192,7 +192,7 @@ def _label_summary(seeds: seeding.SeedMap, final: segmod.SegmentSet | None = Non
     The output is the seed raster, or when given the ``final`` segments,
     which cover its nonzero cells with labels up to ``seeds.label_count``.
     """
-    seed_counts = np.bincount(seeds.labels.ravel(), minlength=seeds.label_count + 1)
+    seed_counts = np.bincount(seeds.labels[seeds.labels != 0], minlength=seeds.label_count + 1)
     counts = seed_counts
     if final is not None:
         counts = np.zeros_like(seed_counts)

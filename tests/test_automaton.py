@@ -1,4 +1,5 @@
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -314,19 +315,23 @@ class TestEvolveStep:
         finally:
             sys.setswitchinterval(interval)
 
+    @pytest.mark.parametrize("threads", [1, 2, 3])
     @pytest.mark.parametrize("nb", list(NeighborhoodKind))
-    def test_only_the_changed_cells_attack(self, monkeypatch, nb):
+    def test_only_the_changed_cells_attack(self, monkeypatch, nb, threads):
         # every step makes len(offsets) passes, one per offset in order, and
-        # each pass's chunks together hold exactly the cells marked changed
+        # each pass's chunks together hold exactly the cells marked changed,
+        # on the calling thread and on the pool alike
         passes = []
         kernel = automaton._attack
+        lock = threading.Lock()
 
-        def spy(off, plane, cells, *rest):
-            # a new pass starts with a new plane: flat offsets can repeat
-            if not passes or passes[-1][1] is not plane:
-                passes.append((off, plane, []))
-            passes[-1][2].extend(cells.tolist())
-            return kernel(off, plane, cells, *rest)
+        def spy(off, plane, new_labels, new_theta, changed, cells, *rest):
+            with lock:
+                # a new pass starts with a new plane: flat offsets can repeat
+                if not passes or passes[-1][1] is not plane:
+                    passes.append((off, plane, []))
+                passes[-1][2].extend(cells.tolist())
+            return kernel(off, plane, new_labels, new_theta, changed, cells, *rest)
 
         monkeypatch.setattr(automaton, "_attack", spy)
         monkeypatch.setattr(automaton, "_CHUNK", 7)
@@ -347,10 +352,12 @@ class TestEvolveStep:
             if step == 0:
                 assert attackers == np.flatnonzero(seeds.labels).tolist()
             passes.clear()
-            grid, changed = evolve_step(grid, weights)
+            grid, changed = evolve_step(grid, weights, threads=threads)
             sizes.append(len(attackers))
             assert [off for off, _, _ in passes] == (offsets if attackers else [])
-            assert all(cells == attackers for _, _, cells in passes)
+            # workers may finish one offset's chunks in any order
+            arrived = (cells if threads == 1 else sorted(cells) for _, _, cells in passes)
+            assert all(cells == attackers for cells in arrived)
             if not changed:
                 break
         assert not changed

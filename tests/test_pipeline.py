@@ -259,6 +259,18 @@ class TestCli:
         assert code == 2
         assert "error" in capsys.readouterr().err
 
+    def test_unwritable_output_exits_2(self, tmp_path, capsys):
+        # an OSError, not a SegmenterError: the output's directory is missing
+        path = write_envi(tmp_path / "img.bsq", two_region_data())
+        args = self.segment_args(tmp_path, path)
+        args[args.index("--out-labels") + 1] = str(tmp_path / "absent" / "labels.u32")
+        assert main(args) == 2
+        captured = capsys.readouterr()
+        err = captured.err.splitlines()
+        assert len(err) == 1 and err[0].startswith("ca-segment: error:")
+        assert "absent" in err[0]
+        assert captured.out == ""
+
     def test_header_not_utf8_exits_2(self, tmp_path, capsys):
         path = tmp_path / "img.bsq"
         path.write_bytes(b"\x00" * 16)
