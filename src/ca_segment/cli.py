@@ -14,7 +14,6 @@ import json
 import os
 import sys
 from dataclasses import fields
-from typing import NamedTuple
 
 from .automaton import NeighborhoodKind
 from .errors import SegmenterError
@@ -57,43 +56,32 @@ def _band_triple(text):
     return tuple(values)
 
 
-class _Flag(NamedTuple):
-    """One flag of a command, as argparse declares it and the plain reader reads it."""
+def _flag(option, **keywords):
+    """One flag: its option and its ``add_argument`` keywords, which both parsers read.
 
-    option: str
-    dest: str
-    type: object  # converts the value's text; None keeps the text
-    choices: list | None
-    required: bool
-    default: object
-    help: str | None
-    metavar: str | None
-    switch: bool  # a bare flag that stores True
-
-
-def _flag(option, type=None, *, dest=None, choices=None, required=False, help=None,
-          metavar=None, switch=False):
-    """A flag whose default is that of the config field it sets, if any."""
-    dest = dest or option[2:].replace("-", "_")
-    default = _DEFAULT.get(dest, False if switch else None)
-    if isinstance(default, NeighborhoodKind):
-        default = default.value
-    return _Flag(option, dest, type, choices, required, default, help, metavar, switch)
+    ``dest`` defaults to the option's name, and ``default`` to the config
+    field named ``dest``, if any, else False for a switch, None for the rest.
+    """
+    dest = keywords.setdefault("dest", option[2:].replace("-", "_"))
+    default = _DEFAULT.get(dest, False if keywords.get("action") == "store_true" else None)
+    keywords["default"] = default.value if isinstance(default, NeighborhoodKind) else default
+    return option, keywords
 
 
 _INTAKE_FLAGS = (
     _flag("--input", dest="input_path", metavar="INPUT", required=True, help="input raster path"),
     _flag("--format", choices=["envi-bsq", "ppm"],
           help="input container (default: inferred from the extension)"),
-    _flag("--bands", _int_list, metavar="I,J,K", help="band subset to segment (default: all bands)"),
-    _flag("--delta-rel", float, help="relative spread below which a pixel counts as balanced"),
-    _flag("--smooth-window", int),
-    _flag("--prominence", float, dest="prominence_frac", metavar="PROMINENCE",
+    _flag("--bands", type=_int_list, metavar="I,J,K",
+          help="band subset to segment (default: all bands)"),
+    _flag("--delta-rel", type=float, help="relative spread below which a pixel counts as balanced"),
+    _flag("--smooth-window", type=int),
+    _flag("--prominence", type=float, dest="prominence_frac", metavar="PROMINENCE",
           help="peak height floor as a fraction of the histogram maximum"),
-    _flag("--min-separation", int),
-    _flag("--half-width", int),
-    _flag("--max-peaks", int),
-    _flag("--stride", int),
+    _flag("--min-separation", type=int),
+    _flag("--half-width", type=int),
+    _flag("--max-peaks", type=int),
+    _flag("--stride", type=int),
     _flag("--out-labels", required=True, help="output label raster path"),
     _flag("--out-stats", required=True, help="output stats JSON path"),
 )
@@ -103,17 +91,17 @@ _NEIGHBORHOOD_FLAG = _flag("--neighborhood", choices=_NEIGHBORHOODS)
 _COMMANDS = {
     "segment": ("run the full segmentation pipeline", _INTAKE_FLAGS + (
         _NEIGHBORHOOD_FLAG,
-        _flag("--epsilon", float),
-        _flag("--min-area", int, help="study scale: segments below this area are regrown"),
-        _flag("--max-iters", int, help="evolution cap (default: 10 * (width + height))"),
-        _flag("--max-rounds", int),
-        _flag("--threads", int, help="workers over chunks of each step's attacking cells; "
+        _flag("--epsilon", type=float),
+        _flag("--min-area", type=int, help="study scale: segments below this area are regrown"),
+        _flag("--max-iters", type=int, help="evolution cap (default: 10 * (width + height))"),
+        _flag("--max-rounds", type=int),
+        _flag("--threads", type=int, help="workers over chunks of each step's attacking cells; "
               "output identical for any value"),
-        _flag("--strict", switch=True,
+        _flag("--strict", action="store_true",
               help="exit 2, leaving no outputs, if the automaton hits the "
               "iteration cap or null cells or segments below --min-area remain"),
         _flag("--out-preview", help="optional preview PPM path"),
-        _flag("--preview-bands", _band_triple, metavar="R,G,B",
+        _flag("--preview-bands", type=_band_triple, metavar="R,G,B",
               help="bands rendered in the preview (default: 0,1,2)"),
     )),
     "seeds": ("stop after seed generation", _INTAKE_FLAGS),
@@ -123,9 +111,8 @@ _COMMANDS = {
         _flag("--out-stats", help="write JSON here instead of stdout"),
     )),
 }
-_COMMAND_FLAGS = {  # each command's flags by option, for the plain reader
-    command: {flag.option: flag for flag in flags} for command, (_, flags) in _COMMANDS.items()
-}
+#: each command's flag keywords by option, for the plain reader
+_COMMAND_FLAGS = {command: dict(flags) for command, (_, flags) in _COMMANDS.items()}
 
 
 def _build_parser():
@@ -133,13 +120,8 @@ def _build_parser():
     sub = parser.add_subparsers(dest="command", metavar="COMMAND")
     for command, (summary, flags) in _COMMANDS.items():
         cmd = sub.add_parser(command, help=summary)
-        for flag in flags:
-            if flag.switch:
-                cmd.add_argument(flag.option, action="store_true", help=flag.help)
-            else:
-                cmd.add_argument(flag.option, dest=flag.dest, type=flag.type,
-                                 choices=flag.choices, required=flag.required,
-                                 default=flag.default, help=flag.help, metavar=flag.metavar)
+        for option, keywords in flags:
+            cmd.add_argument(option, **keywords)
     return parser
 
 
@@ -152,33 +134,35 @@ def _read_plain(argv):
     ``--flag=value`` and every usage error stay argparse's: a value
     starting with "-", an unknown or other command's flag, a stray or
     missing argument, a value its converter or choices refuse, or a
-    required flag left out. Building argparse's parser costs a few
-    milliseconds, more than reading a plain command line.
+    required flag left out. It reads each flag's ``add_argument``
+    keywords, the same ones argparse is built from. Building argparse's
+    parser costs a few milliseconds, more than reading a plain command
+    line.
     """
     if not argv or argv[0] not in _COMMAND_FLAGS:
         return None
     flags = _COMMAND_FLAGS[argv[0]]
-    values = {flag.dest: flag.default for flag in flags.values()}
-    missing = {option for option, flag in flags.items() if flag.required}
+    values = {kw["dest"]: kw["default"] for kw in flags.values()}
+    missing = {option for option, kw in flags.items() if kw.get("required")}
     tokens = iter(argv[1:])
     for token in tokens:
-        flag = flags.get(token)
-        if flag is None:
+        kw = flags.get(token)
+        if kw is None:
             return None
         missing.discard(token)
-        if flag.switch:
-            values[flag.dest] = True
+        if kw.get("action") == "store_true":
+            values[kw["dest"]] = True
             continue
         text = next(tokens, "-")  # a missing value declines as a flag would
         if text.startswith("-"):
             return None
         try:
-            value = text if flag.type is None else flag.type(text)
+            value = kw.get("type", str)(text)
         except (TypeError, ValueError, argparse.ArgumentTypeError):
             return None
-        if flag.choices is not None and value not in flag.choices:
+        if kw.get("choices") is not None and value not in kw["choices"]:
             return None
-        values[flag.dest] = value
+        values[kw["dest"]] = value
     return None if missing else argparse.Namespace(command=argv[0], **values)
 
 

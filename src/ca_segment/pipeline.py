@@ -108,7 +108,7 @@ def _phase(times, name):
 
 
 def _load_input(config: PipelineConfig):
-    """The image, cut to ``config.bands``, and the bands its preview renders."""
+    """The image, cut to ``config.bands``."""
     image = raster.load_image(config.input_path, config.format)
     if config.bands is not None:
         subset = list(config.bands)
@@ -121,24 +121,17 @@ def _load_input(config: PipelineConfig):
         image = MultibandImage(
             data=np.ascontiguousarray(image.data[:, :, subset]), depth=image.depth
         )
-    preview = config.preview_bands
-    if preview is None:
-        preview = (0, 1, 2) if image.bands >= 3 else (0, 0, 0)
-    if any(b < 0 or b >= image.bands for b in preview):
-        raise ContractError(
-            f"preview bands {tuple(preview)} out of range for {image.bands} bands"
-        )
-    return image, preview
+    return image
 
 
 def _load_and_seed(config, times):
     """Validate the config, load the image and build its ranges and seeds.
 
-    Returns (image, preview band triple, ranges, seeds, seed count).
+    Returns (image, ranges, seeds, seed count).
     """
     config.validate()
     with _phase(times, "load"):
-        image, preview = _load_input(config)
+        image = _load_input(config)
     with _phase(times, "histogram"):
         hist = seeding.compute_sum_histogram(image)
     with _phase(times, "ranges"):
@@ -164,7 +157,7 @@ def _load_and_seed(config, times):
             f"min_separation={config.min_separation}, half_width={config.half_width}, "
             f"max_peaks={config.max_peaks}, stride={config.stride})"
         )
-    return image, preview, ranges, seeds, seed_count
+    return image, ranges, seeds, seed_count
 
 
 def _report(config, image, ranges, seed_count, times, **fields) -> RunReport:
@@ -215,7 +208,7 @@ def _label_summary(seeds: seeding.SeedMap, final: segmod.SegmentSet | None = Non
 def run_seeds(config: PipelineConfig) -> RunReport:
     """Histogram, range and seed construction only; writes the seed raster."""
     times = {}
-    image, _, ranges, seeds, seed_count = _load_and_seed(config, times)
+    image, ranges, seeds, seed_count = _load_and_seed(config, times)
 
     summary = _label_summary(seeds)
     with _phase(times, "write"):
@@ -234,7 +227,14 @@ def run_seeds(config: PipelineConfig) -> RunReport:
 def run_segment(config: PipelineConfig) -> RunReport:
     """The full pipeline: seed, converge, enforce the study scale, sign."""
     times = {}
-    image, preview, ranges, seeds, seed_count = _load_and_seed(config, times)
+    image, ranges, seeds, seed_count = _load_and_seed(config, times)
+    preview = config.preview_bands
+    if preview is None:
+        preview = (0, 1, 2) if image.bands >= 3 else (0, 0, 0)
+    if any(b < 0 or b >= image.bands for b in preview):
+        raise ContractError(
+            f"preview bands {tuple(preview)} out of range for {image.bands} bands"
+        )
 
     max_iters = config.max_iters
     if max_iters is None:

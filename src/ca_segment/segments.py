@@ -194,8 +194,8 @@ def eliminate_oversegmentation(
 
     cleared_per_round = []
     for _ in range(max_rounds):
-        if not segs.segments:
-            raise ContractError("grid carries no labeled segments; nothing to grow from")
+        # checked every round: after a capped colonization a round can
+        # change cells it did not free, and shrink the segments to regrow from
         if all(seg.area < min_area for seg in segs.segments):
             raise ContractError(
                 f"every segment is below min_area={min_area}; nothing to grow from "

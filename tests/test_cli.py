@@ -11,17 +11,23 @@ from ca_segment import cli
 ALL_FLAGS = [flag for _, flags in cli._COMMANDS.values() for flag in flags]
 
 
+def is_switch(flag):
+    return flag[1].get("action") == "store_true"
+
+
 def valid_value(flag):
     """Text of a value argparse accepts for ``flag`` and that starts with no "-"."""
-    if flag.choices is not None:
-        return st.sampled_from(flag.choices)
-    if flag.type is int:
+    _, keywords = flag
+    convert = keywords.get("type")
+    if keywords.get("choices") is not None:
+        return st.sampled_from(keywords["choices"])
+    if convert is int:
         return st.integers(0, 10**6).map(str)
-    if flag.type is float:
+    if convert is float:
         return st.floats(0, 1e6).map(repr)
-    if flag.type is cli._int_list:
+    if convert is cli._int_list:
         return st.lists(st.integers(0, 99), max_size=4).map(lambda v: ",".join(map(str, v)))
-    if flag.type is cli._band_triple:
+    if convert is cli._band_triple:
         return st.lists(st.integers(0, 99), min_size=3, max_size=3).map(
             lambda v: ",".join(map(str, v)))
     return st.text(st.sampled_from("ab./_ =,é"), max_size=6)
@@ -41,19 +47,19 @@ def pieces(draw, flags):
     kind = draw(st.sampled_from(
         ["full", "full", "full", "abbrev", "equals", "help", "other", "stray", "bare"]))
     if kind == "full":
-        return [flag.option] if flag.switch else [flag.option, value]
+        return [flag[0]] if is_switch(flag) else [flag[0], value]
     if kind == "abbrev":
-        return [flag.option[: draw(st.integers(3, len(flag.option) - 1))], value]
+        return [flag[0][: draw(st.integers(3, len(flag[0]) - 1))], value]
     if kind == "equals":
-        return [f"{flag.option}={value}"]
+        return [f"{flag[0]}={value}"]
     if kind == "help":
         return [draw(st.sampled_from(["-h", "--help"]))]
     if kind == "other":
         other = draw(st.sampled_from(ALL_FLAGS))
-        return [other.option] if other.switch else [other.option, value]
+        return [other[0]] if is_switch(other) else [other[0], value]
     if kind == "stray":
         return [value]
-    return [flag.option]  # a value-taking flag without its value, or a switch
+    return [flag[0]]  # a value-taking flag without its value, or a switch
 
 
 @st.composite
@@ -61,11 +67,11 @@ def plain_command_lines(draw):
     """COMMAND, every required flag and some others, with valid separate values."""
     command = draw(st.sampled_from(list(cli._COMMANDS)))
     flags = cli._COMMANDS[command][1]
-    chosen = [flag for flag in flags if flag.required or draw(st.booleans())]
+    chosen = [flag for flag in flags if flag[1].get("required") or draw(st.booleans())]
     chosen += draw(st.lists(st.sampled_from(flags), max_size=3))  # repeats; the last value wins
     argv = [command]
     for flag in draw(st.permutations(chosen)):
-        argv += [flag.option] if flag.switch else [flag.option, draw(valid_value(flag))]
+        argv += [flag[0]] if is_switch(flag) else [flag[0], draw(valid_value(flag))]
     return argv
 
 
@@ -157,5 +163,5 @@ def test_help_names_every_flag(capsys, command):
     assert exit_.value.code == 0
     text = capsys.readouterr().out
     assert text.startswith(f"usage: ca-segment {command} ")
-    for flag in cli._COMMANDS[command][1]:
-        assert flag.option in text
+    for option, _ in cli._COMMANDS[command][1]:
+        assert option in text

@@ -496,18 +496,29 @@ class TestCli:
         assert proc.stdout.splitlines()[-2:] == ["[]", "False"]
 
     def test_no_command_imports_numpy_ma(self, tmp_path):
-        # plain np.unique imports numpy.ma (15-25 ms) on first use; segment,
-        # seeds and stats run in one fresh interpreter and none may load it
-        path = write_envi(tmp_path / "img.bsq", two_region_data(h=16, w=16))
+        # plain np.unique imports numpy.ma (10-25 ms) on first use; segment,
+        # seeds and stats run in one fresh interpreter and none may load it,
+        # nor any module the CLI's import did not: a module loaded during a
+        # run costs every fresh process; the 3 x 3 island is below the study
+        # scale, so the segment run also takes an elimination round
+        data = two_region_data(h=16, w=16)
+        data[2:5, 2:5] = 120
+        path = write_envi(tmp_path / "img.bsq", data)
         code = (
             "import sys\n"
             "from ca_segment.cli import main\n"
             "scene, out = sys.argv[1:]\n"
-            "for command, *flags in (('segment', '--min-area', '10'), ('seeds',)):\n"
-            "    rc = main([command, '--input', scene, '--out-labels', out + command + '.u32',\n"
+            "before = set(sys.modules)\n"
+            "intake = ['--input', scene, '--stride', '2', '--prominence', '0.01']\n"
+            "for command, *flags in (\n"
+            "    ('segment', '--threads', '1', '--min-area', '10', '--out-preview', out + 'preview.ppm'),\n"
+            "    ('seeds',),\n"
+            "):\n"
+            "    rc = main([command, *intake, '--out-labels', out + command + '.u32',\n"
             "               '--out-stats', out + command + '.json', *flags])\n"
             "    assert rc == 0, (command, rc)\n"
             "assert main(['stats', '--labels', out + 'segment.u32']) == 0\n"
+            "print(sorted(set(sys.modules) - before))\n"
             "print('numpy.ma' in sys.modules)\n"
         )
         proc = subprocess.run(
@@ -516,7 +527,8 @@ class TestCli:
             text=True,
         )
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.splitlines()[-1] == "False"
+        assert "3 -> 2 segments in 1 elimination round(s)" in proc.stdout
+        assert proc.stdout.splitlines()[-2:] == ["[]", "False"]
 
     def test_importing_the_cli_loads_no_thread_pool(self):
         # concurrent.futures (with logging) is imported by the first pool a

@@ -2,7 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -452,7 +452,7 @@ class TestEliminateOversegmentation:
     def test_unlabeled_grid_is_an_error(self):
         image = image_from(np.full((2, 2, 1), 5))
         grid = grid_from_labels([[0, 0], [0, 0]])
-        with pytest.raises(ContractError):
+        with pytest.raises(ContractError, match="nothing to grow from"):
             eliminate_oversegmentation(
                 grid, moore_weights(image), NeighborhoodKind.MOORE8, min_area=1, max_iters=40,
             )
@@ -501,6 +501,44 @@ class TestEliminateOversegmentation:
             segs = extract_segments(LabelRaster(labels=out.labels), NeighborhoodKind.MOORE8)
             assert all(s.area >= min_area for s in segs.segments)
             assert_extraction_of(returned, out.labels)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from(list(NeighborhoodKind)), st.sampled_from([8, 16]),
+       st.integers(2, 12), st.lists(st.integers(1, 5), min_size=1, max_size=4))
+def test_rounds_keep_every_cell_they_did_not_free(seed, nb, depth, min_area, caps):
+    # after a colonization that converged, a freed cell regrows no stronger
+    # than it was, so it never wins against a cell no round has freed: each
+    # round, however few steps its reconvergence may take, leaves those
+    # cells with the label and strength the colonization gave them, bit for bit
+    rng = np.random.default_rng(seed)
+    h, w = (int(v) for v in rng.integers(3, 13, size=2))
+    data = rng.integers(0, 2**depth, size=(h, w, int(rng.integers(1, 4))))
+    image = MultibandImage(data=data.astype(np.uint8 if depth == 8 else np.uint16), depth=depth)
+    labels = np.zeros(h * w, dtype=np.uint32)
+    seeded = rng.choice(h * w, size=int(rng.integers(2, h * w // 2 + 1)), replace=False)
+    labels[seeded] = rng.integers(1, 5, size=seeded.size)
+    keys = [(0, 0)] * int(labels.max())
+    weights = neighbor_weights(image, nb, 1e-3)
+    grid, _, converged = run_to_convergence(
+        init_from_seeds(SeedMap(labels=labels.reshape(h, w), keys=keys)), weights, 10 * (h + w),
+    )
+    assume(converged)
+    colonized = grid.labels.ravel().copy(), grid.theta.ravel().copy()
+    kept = np.ones(h * w, dtype=bool)  # the cells no round has freed
+    for cap in caps:
+        segs = extract_segments(LabelRaster(labels=grid.labels), nb)
+        min_area = min(min_area, max(s.area for s in segs.segments))
+        for seg in segs.segments:
+            if seg.area < min_area:
+                kept[pixels_of(seg)] = False
+        grid, rounds, _, _ = eliminate_oversegmentation(
+            grid, weights, nb, min_area=min_area, max_iters=cap, max_rounds=1, segs=segs,
+        )
+        if not rounds:
+            break
+        for now, then in zip((grid.labels.ravel(), grid.theta.ravel()), colonized):
+            assert now[kept].tobytes() == then[kept].tobytes()
 
 
 class TestMedoidSignature:
