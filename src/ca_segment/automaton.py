@@ -139,29 +139,32 @@ def neighbor_weights(image: MultibandImage, nb: NeighborhoodKind, epsilon: float
     they come as ``NeighborWeights``, a tuple of ``(dr, dc, plane)`` in
     offset order that carries its checked flat lookup.
 
-    Squared distances are summed over band-major integer planes. Samples
-    are integers of at most 16 bits, so their differences fit int32 and a
-    sum is at most bands·(2^depth − 1)²: int32 holds it below 2³¹ (8-bit
-    data under about 33 000 bands), int64 otherwise. Below 2⁵³ (16-bit
-    data under about 2·10⁶ bands) float64 holds every partial sum exactly
-    too, so the correctly rounded square root equals that of a float64 sum
-    in any order bit for bit.
+    Squared distances are summed over the image's integer band planes.
+    Samples are integers of at most 16 bits, so their differences fit
+    int32 and a sum is at most bands·(2^depth − 1)²: int32 holds it below
+    2³¹ (8-bit data under about 33 000 bands), int64 otherwise. The band
+    limit of ``MultibandImage`` keeps it below 2⁵³, so float64 holds every
+    partial sum exactly too, and the correctly rounded square root equals
+    that of a float64 sum in any order bit for bit, slice by slice.
 
     Only the first half of the offsets is computed, each plane into one
-    zeroed buffer with w + 1 cells of padding on either side. The attack
-    from q on p weighs exactly what the attack from p on q does, so the
-    flat plane of the mirrored offset (−dr, −dc) is the computed one read
-    dr·w + dc cells earlier: a neighbor off the top or bottom reads
-    padding, and one off the left or right edge reads the computed plane's
-    own zero column in the next or previous row. Mirrored planes are views
-    of the buffer.
+    zeroed buffer with w + 1 cells of padding on either side. A half
+    offset's flat shift off = dr·w + dc is at most 0, so the last
+    k = max(0, h·w + off) cells are those whose flat neighbor p + off lies
+    in the grid, and each band is one pair of flat slices; where dc ≠ 0,
+    one edge column's neighbors wrap into the next or previous row, and
+    that column is zeroed after. The attack from q on p weighs what the
+    attack from p on q does, so the plane of the mirrored offset
+    (−dr, −dc) is the computed one read off cells earlier, a view of the
+    buffer: a neighbor off the top or bottom reads padding, and one off the
+    left or right edge the zeroed column in the next or previous row.
     """
     if not 0 < epsilon < 1:
         raise ContractError("epsilon must lie strictly between 0 and 1")
-    h, w, n = image.data.shape
+    n, h, w = image.planes.shape
     top = image.max_level
     kind = np.int32 if n * top * top < 2**31 else np.int64
-    data = image.data.transpose(2, 0, 1).astype(np.int32, order="C")
+    data = image.planes.reshape(n, h * w).astype(np.int32)
     offsets = nb.offsets()
     half = offsets[: len(offsets) // 2]
     pad = w + 1
@@ -169,25 +172,20 @@ def neighbor_weights(image: MultibandImage, nb: NeighborhoodKind, epsilon: float
     sq_buf, diff_buf = np.empty(h * w, dtype=kind), np.empty(h * w, dtype=kind)
     planes = {}
     for (dr, dc), row in zip(half, buf):
-        r0, r1 = max(0, -dr), h - max(0, dr)
-        c0, c1 = max(0, -dc), w - max(0, dc)
-        cells = (r1 - r0) * (c1 - c0)
-        sq = sq_buf[:cells].reshape(r1 - r0, c1 - c0)
-        diff = diff_buf[:cells].reshape(sq.shape)
+        off = dr * w + dc
+        k = max(0, h * w + off)
+        sq, diff = sq_buf[:k], diff_buf[:k]
         sq[...] = 0
-        cell = data[:, r0:r1, c0:c1]
-        neigh = data[:, r0 + dr : r1 + dr, c0 + dc : c1 + dc]
-        for b in range(n):
-            np.subtract(cell[b], neigh[b], out=diff)
-            np.multiply(diff, diff, out=diff)
-            sq += diff
-        planes[dr, dc] = row[pad : pad + h * w].reshape(h, w)
-        d = planes[dr, dc][r0:r1, c0:c1]
+        for cell, neigh in zip(data[:, h * w - k :], data[:, :k]):
+            sq += np.square(np.subtract(cell, neigh, out=diff), out=diff)
+        d = row[pad + h * w - k : pad + h * w]
         np.sqrt(sq, out=d)
         d /= image.max_distance
         np.subtract(1.0, d, out=d)
         np.maximum(epsilon, d, out=d)
-        off = dr * w + dc
+        planes[dr, dc] = row[pad : pad + h * w].reshape(h, w)
+        if dc:
+            planes[dr, dc][:, 0 if dc < 0 else w - 1] = 0.0
         planes[-dr, -dc] = row[pad - off : pad - off + h * w].reshape(h, w)
     return NeighborWeights([(dr, dc, planes[dr, dc]) for dr, dc in offsets], (h, w))
 

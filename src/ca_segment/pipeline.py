@@ -118,9 +118,7 @@ def _load_input(config: PipelineConfig):
             raise ContractError(
                 f"band subset {subset} out of range for {image.bands} bands"
             )
-        image = MultibandImage(
-            data=np.ascontiguousarray(image.data[:, :, subset]), depth=image.depth
-        )
+        image = MultibandImage.from_planes(image.planes[subset], image.depth)
     return image
 
 

@@ -41,9 +41,12 @@ _DEPTH_TO_ENVI_TYPE = {8: 1, 16: 12}
 class MultibandImage:
     """A width x height grid of N-band digital-level vectors.
 
-    ``data`` has shape (height, width, bands) in row-major order, with
-    dtype uint8 for ``depth`` 8 and uint16 for ``depth`` 16, so every
-    sample is bounded by the declared bit depth.
+    ``data`` has shape (height, width, bands), with dtype uint8 for
+    ``depth`` 8 and uint16 for ``depth`` 16, so every sample is bounded by
+    the declared bit depth. It is a view of ``planes``, the C-contiguous
+    (bands, height, width) layout of a BSQ file; data in any other layout
+    is copied into planes once, here. The medoid's integer sums stay exact
+    for at most 2⁵³ / (4·(2^depth − 1)²) bands, 524 304 at 16 bits.
     """
 
     data: np.ndarray
@@ -61,6 +64,20 @@ class MultibandImage:
         h, w, n = self.data.shape
         if h < 1 or w < 1 or n < 1:
             raise ContractError("image dimensions and band count must be >= 1")
+        limit = 2**53 // (4 * self.max_level**2)
+        if n > limit:
+            raise ContractError(f"{n} bands exceed the limit of {limit} for exact medoid sums")
+        self.data = np.ascontiguousarray(self.data.transpose(2, 0, 1)).transpose(1, 2, 0)
+
+    @classmethod
+    def from_planes(cls, planes: np.ndarray, depth: int) -> MultibandImage:
+        """The image whose (bands, height, width) band planes are ``planes``."""
+        return cls(data=planes.transpose(1, 2, 0), depth=depth)
+
+    @property
+    def planes(self) -> np.ndarray:
+        """The C-contiguous (bands, height, width) band planes that ``data`` views."""
+        return self.data.transpose(2, 0, 1)
 
     @property
     def height(self) -> int:
@@ -153,7 +170,7 @@ def _read_utf8(path, what):
 
 
 def load_envi_bsq(path) -> MultibandImage:
-    """Load a band-sequential raster from its header/payload pair."""
+    """Load a band-sequential raster from its header/payload pair, straight into band planes."""
     header_path, data_path = _envi_paths(path)
     if not os.path.exists(header_path):
         raise FormatError(f"ENVI header not found: {header_path}")
@@ -179,23 +196,19 @@ def load_envi_bsq(path) -> MultibandImage:
     depth = _ENVI_TYPE_TO_DEPTH[type_code]
     dtype = np.dtype(_DEPTH_DTYPES[depth]).newbyteorder("<")
     expected = samples * lines * bands * dtype.itemsize
+    size = os.path.getsize(data_path)
+    if size != expected:
+        raise FormatError(f"ENVI payload is {size} bytes, header declares {expected}")
+    planes = np.empty((bands, lines, samples), dtype=dtype)
     with open(data_path, "rb") as fh:
-        payload = fh.read()
-    if len(payload) != expected:
-        raise FormatError(
-            f"ENVI payload is {len(payload)} bytes, header declares {expected}"
-        )
-    planes = np.frombuffer(payload, dtype=dtype).reshape(bands, lines, samples)
-    data = np.ascontiguousarray(planes.transpose(1, 2, 0)).astype(
-        _DEPTH_DTYPES[depth], copy=False
-    )
-    return MultibandImage(data=data, depth=depth)
+        fh.readinto(planes)
+    return MultibandImage.from_planes(planes.astype(_DEPTH_DTYPES[depth], copy=False), depth)
 
 
 def save_envi_bsq(image: MultibandImage, path) -> None:
     """Write ``image`` as a BSQ payload plus sidecar text header."""
     header_path, data_path = _envi_paths(path)
-    planes = np.ascontiguousarray(image.data.transpose(2, 0, 1))
+    planes = image.planes
     payload = planes.astype(planes.dtype.newbyteorder("<"), copy=False).tobytes()
     header = (
         "ENVI\n"
@@ -242,7 +255,7 @@ def _ppm_tokens(buf, count):
 
 
 def load_ppm(path) -> MultibandImage:
-    """Load a binary P6 PPM as a 3-band, 8-bit image."""
+    """Load a binary P6 PPM as a 3-band, 8-bit image, copied once into band planes."""
     with open(path, "rb") as fh:
         buf = fh.read()
     if buf[:2] != b"P6":
@@ -259,7 +272,7 @@ def load_ppm(path) -> MultibandImage:
     payload = buf[offset:]
     if len(payload) != expected:
         raise FormatError(f"PPM payload is {len(payload)} bytes, expected {expected}")
-    data = np.frombuffer(payload, dtype=np.uint8).reshape(height, width, 3).copy()
+    data = np.frombuffer(payload, dtype=np.uint8).reshape(height, width, 3)
     return MultibandImage(data=data, depth=8)
 
 
@@ -270,7 +283,7 @@ def save_ppm(data: np.ndarray, path) -> None:
     h, w = data.shape[:2]
     with open(path, "wb") as fh:
         fh.write(f"P6\n{w} {h}\n255\n".encode("ascii"))
-        fh.write(np.ascontiguousarray(data).tobytes())
+        fh.write(data.tobytes())
 
 
 def load_image(path, format=None) -> MultibandImage:

@@ -97,30 +97,21 @@ class SumHistogram:
             raise ContractError("histogram counts must be >= 1")
 
 
-def _band_sums(data, size):
-    """The (h, w) band sums of an (h, w, bands) array whose sums lie below ``size``.
-
-    The band planes are added into one int32 buffer, or int64 once a sum
-    can reach 2**31; numpy's ``sum(axis=2)`` over the interleaved bands
-    takes about three times as long.
-    """
-    sums = np.zeros(data.shape[:2], dtype=np.int32 if size <= 2**31 else np.int64)
-    for band in range(data.shape[2]):
-        sums += data[:, :, band]
-    return sums
+def _sum_dtype(image: MultibandImage):
+    """int32, or int64 once a band sum of ``image`` can reach 2**31."""
+    return np.int32 if image.bands * image.max_level < 2**31 else np.int64
 
 
 def compute_sum_histogram(image: MultibandImage) -> SumHistogram:
     """Count occurrences of each per-pixel band sum.
 
-    The band planes are added into one buffer, which is sorted in place
-    and cut into runs of equal sums, so the cost is O(p log p) in the p
-    pixels and no array spans the domain, whose size is fixed by the image
-    geometry: 524 281 bins for 8 bands of 16 bits. The counts total
-    width * height.
+    The band planes are summed into one buffer, sorted in place and cut
+    into runs of equal sums: O(p log p) in the p pixels, and no array
+    spans the domain, whose size is fixed by the image geometry (524 281
+    bins for 8 bands of 16 bits). The counts total width * height.
     """
     size = image.bands * image.max_level + 1
-    sums = _band_sums(image.data, size).ravel()
+    sums = image.planes.sum(axis=0, dtype=_sum_dtype(image)).ravel()
     sums.sort()
     ends = np.append(np.flatnonzero(sums[1:] != sums[:-1]) + 1, sums.size)  # of the runs of equal sums
     return SumHistogram(bins=sums[ends - 1], counts=np.diff(ends, prepend=0), size=size)
@@ -312,10 +303,9 @@ def generate_seeds(
         raise ContractError("stride must be >= 1")
     ordered = _validate_ranges(ranges)
 
-    data = image.data[::stride, ::stride]
     n = image.bands
     top = n * image.max_level  # the largest possible sum
-    sums = _band_sums(data, top + 1)
+    sums = image.planes[:, ::stride, ::stride].sum(axis=0, dtype=_sum_dtype(image))
 
     # ranges starting above every sum are a suffix of the ordered ones and
     # match nothing; the others, clipped to the domain, fit the sums' dtype
@@ -324,7 +314,7 @@ def generate_seeds(
     hi = np.array([-1] + [min(r.hi, top) for r in live], dtype=sums.dtype)
     after = lo.searchsorted(sums, side="right")  # 1 + the index of the last range with lo <= sum
     rows, cols = np.nonzero(sums <= hi[after])  # row-major scan order; hi[0] = -1 matches no sum
-    region = classify_spectral_region(data[rows, cols], delta_rel)
+    region = classify_spectral_region(image.data[rows * stride, cols * stride], delta_rel)
     codes = (after[rows, cols] - 1) * (n + 1) + (region + 1)
 
     uniq, first, inverse = np.unique(codes, return_index=True, return_inverse=True)

@@ -296,15 +296,15 @@ def medoid_signature(image: MultibandImage, segment: Segment, sample_cap: int = 
 
     Each batch of squared distances is one matmul over augmented vectors,
     [-2a, |a|², 1] · [b, 1, |b|²]ᵀ = |a|² + |b|² − 2·a·b. The members are
-    gathered once, straight into the band-major columns [b, 1, |b|²], which
-    every bound reads too; each batch builds only its own rows
-    [-2a, |a|², 1] from them. Every operand holds the same floats whichever
-    batch builds it. This is exact:
+    gathered once from the image's band planes, straight into the
+    band-major columns [b, 1, |b|²], which every bound reads too; each
+    batch builds only its own rows [-2a, |a|², 1] from them. Every operand
+    holds the same floats whichever batch builds it. This is exact:
     samples are integers of at most 16 bits, so every term is an integer
     and every partial sum is bounded by the sum of the terms' magnitudes,
-    |a|² + |b|² + 2·|a·b| ≤ 4·bands·(2^depth − 1)², which stays below 2⁵³
-    for any band count under about 5·10⁵, whatever order BLAS sums them
-    in. The correctly rounded square root then matches the direct
+    |a|² + |b|² + 2·|a·b| ≤ 4·bands·(2^depth − 1)², which ``MultibandImage``
+    holds to 2⁵³ (at 16 bits, 524 304 bands), whatever order BLAS sums
+    them in. The correctly rounded square root then matches the direct
     difference form bit for bit. Each row of distances is a C-contiguous
     array of length m summed with ``sum(axis=1)``; numpy's pairwise
     summation depends on that layout, so the sums, and the argmin on a
@@ -381,10 +381,10 @@ def medoid_signature(image: MultibandImage, segment: Segment, sample_cap: int = 
     m = min(area, sample_cap)
     idx = _members_at(segment.starts, segment.lengths, np.arange(m, dtype=np.int64) * area // m)
 
-    flat = image.data.reshape(-1, image.bands)
+    flat = image.planes.reshape(image.bands, -1)
     right_t = np.empty((image.bands + 2, m))  # C order: each band is one contiguous row
     points, norms = right_t[:-2], right_t[-1]
-    points[...] = flat[idx].T
+    points[...] = flat[:, idx]
     right_t[-2] = 1.0
     np.einsum("ij,ij->j", points, points, out=norms)
     max_dist = image.max_distance
@@ -414,4 +414,4 @@ def medoid_signature(image: MultibandImage, segment: Segment, sample_cap: int = 
             break
         batch = rest[np.argpartition(low, min(_BATCH_ROWS, rest.size) - 1)[:_BATCH_ROWS]]
     best = int(np.argmin(sums))  # first minimum = lowest pixel index
-    return flat[idx[best]].copy()
+    return flat[:, idx[best]].copy()

@@ -6,12 +6,19 @@ from ca_segment import (
     FormatError,
     LabelRaster,
     MultibandImage,
+    NeighborhoodKind,
     UnsupportedFormatError,
+    compute_sum_histogram,
+    extract_segments,
+    generate_seeds,
     load_image,
     load_label_raster,
+    medoid_signature,
+    neighbor_weights,
     save_envi_bsq,
     save_label_raster,
     save_preview,
+    select_ranges,
 )
 from ca_segment.raster import load_ppm, save_ppm
 
@@ -348,3 +355,51 @@ def test_image_invariants_enforced():
         MultibandImage(data=np.zeros((2, 2), dtype=np.uint8), depth=8)
     with pytest.raises(ContractError):
         MultibandImage(data=np.zeros((0, 2, 1), dtype=np.uint8), depth=8)
+
+
+def test_band_limit_keeps_medoid_sums_exact():
+    # the medoid's sums are exact while 4·bands·(2^depth − 1)² ≤ 2⁵³
+    assert 4 * 524304 * 65535**2 <= 2**53 < 4 * 524305 * 65535**2
+    image = MultibandImage(data=np.zeros((1, 1, 524304), dtype=np.uint16), depth=16)
+    assert image.bands == 524304
+    with pytest.raises(ContractError, match="524305 bands exceed the limit of 524304"):
+        MultibandImage(data=np.zeros((1, 1, 524305), dtype=np.uint16), depth=16)
+
+
+def test_every_source_of_the_same_samples_gives_the_same_image(tmp_path):
+    # patches of three colours plus noise, so seeding finds several ranges
+    rng = np.random.default_rng(3)
+    palette = rng.integers(0, 256, size=(3, 3))
+    data = palette[rng.integers(0, 3, size=(4, 5)).repeat(3, 0).repeat(3, 1)[:11, :13]]
+    data = np.clip(data + rng.integers(-4, 5, size=data.shape), 0, 255).astype(np.uint8)
+    bsq, ppm = str(tmp_path / "scene.bsq"), str(tmp_path / "scene.ppm")
+    save_envi_bsq(MultibandImage(data=data.copy(), depth=8), bsq)
+    save_ppm(data, ppm)
+    band_major = np.ascontiguousarray(data.transpose(2, 0, 1))
+    images = {
+        "interleaved": MultibandImage(data=data.copy(), depth=8),
+        "band-major view": MultibandImage(data=band_major.transpose(1, 2, 0), depth=8),
+        "bsq": load_image(bsq),
+        "ppm": load_image(ppm),
+    }
+
+    def results(image):
+        hist = compute_sum_histogram(image)
+        seeds = generate_seeds(image, select_ranges(hist, smooth_window=1, max_peaks=4), stride=2)
+        segs = extract_segments(LabelRaster(labels=seeds.labels), NeighborhoodKind.MOORE8)
+        return {
+            "weights": [(dr, dc, plane.tobytes())
+                        for nb in NeighborhoodKind for dr, dc, plane in neighbor_weights(image, nb, 1e-6)],
+            "histogram": (hist.bins.tobytes(), hist.counts.tobytes(), hist.size),
+            "seeds": (seeds.labels.tobytes(), seeds.keys),
+            "medoids": [medoid_signature(image, seg).tobytes() for seg in segs.segments],
+        }
+
+    want = results(images["interleaved"])
+    assert len(want["medoids"]) > 1
+    assert np.shares_memory(images["band-major view"].planes, band_major)  # wrapped, not copied
+    for source, image in images.items():
+        assert image.planes.flags.c_contiguous, source
+        assert image.planes.shape == (3, 11, 13), source
+        assert np.array_equal(image.data, data), source
+        assert results(image) == want, source
