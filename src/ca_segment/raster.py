@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -225,43 +226,25 @@ def save_envi_bsq(image: MultibandImage, path) -> None:
         fh.write(header)
 
 
-def _ppm_tokens(buf, count):
-    """Read ``count`` whitespace/comment separated ASCII tokens after the magic.
-
-    Returns (tokens, offset) where offset points at the first payload byte,
-    i.e. just past the single whitespace byte terminating the last token.
-    """
-    tokens = []
-    i = 2  # past 'P6'
-    n = len(buf)
-    while len(tokens) < count:
-        while i < n and buf[i : i + 1].isspace():
-            i += 1
-        if i < n and buf[i : i + 1] == b"#":
-            while i < n and buf[i] not in (0x0A, 0x0D):
-                i += 1
-            continue
-        start = i
-        while i < n and not buf[i : i + 1].isspace() and buf[i : i + 1] != b"#":
-            i += 1
-        if i == start:
-            raise FormatError("truncated PPM header")
-        tokens.append(buf[start:i])
-        if len(tokens) == count:
-            if i >= n:
-                raise FormatError("truncated PPM header")
-            i += 1  # exactly one whitespace byte before the payload
-    return tokens, i
+# The P6 header: three tokens, each after a run of ASCII whitespace and whole
+# comments ('#' to the end of its line) and ended by whitespace or '#', then
+# the one byte that ends maxval. ``re`` compiles it on the first load, not at import.
+_PPM_HEADER = rb"P6" + rb"(?:\s|#[^\r\n]*(?![^\r\n]))*([^\s#]+)(?=[\s#])" * 3 + rb"[\s\S]"
 
 
 def load_ppm(path) -> MultibandImage:
-    """Load a binary P6 PPM as a 3-band, 8-bit image, copied once into band planes."""
+    """Load a binary P6 PPM as a 3-band, 8-bit image, copied once into band planes.
+
+    ``_PPM_HEADER`` reads the header; the payload is every byte after it.
+    """
     with open(path, "rb") as fh:
         buf = fh.read()
     if buf[:2] != b"P6":
         raise FormatError("not a binary PPM (P6) file")
-    tokens, offset = _ppm_tokens(buf, 3)
-    width, height, maxval = (_decimal(t, "PPM header field") for t in tokens)
+    header = re.match(_PPM_HEADER, buf)
+    if header is None:
+        raise FormatError("truncated PPM header")
+    width, height, maxval = (_decimal(t, "PPM header field") for t in header.groups())
     if width < 1 or height < 1:
         raise FormatError("PPM dimensions must be >= 1")
     if maxval < 1 or maxval > 65535:
@@ -269,7 +252,7 @@ def load_ppm(path) -> MultibandImage:
     if maxval > 255:
         raise UnsupportedFormatError("16-bit PPM is not supported; maxval must be <= 255")
     expected = width * height * 3
-    payload = buf[offset:]
+    payload = buf[header.end():]
     if len(payload) != expected:
         raise FormatError(f"PPM payload is {len(payload)} bytes, expected {expected}")
     data = np.frombuffer(payload, dtype=np.uint8).reshape(height, width, 3)

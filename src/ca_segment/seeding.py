@@ -314,7 +314,7 @@ def generate_seeds(
     hi = np.array([-1] + [min(r.hi, top) for r in live], dtype=sums.dtype)
     after = lo.searchsorted(sums, side="right")  # 1 + the index of the last range with lo <= sum
     rows, cols = np.nonzero(sums <= hi[after])  # row-major scan order; hi[0] = -1 matches no sum
-    region = classify_spectral_region(image.data[rows * stride, cols * stride], delta_rel)
+    region = classify_spectral_region(image.planes[:, rows * stride, cols * stride].T, delta_rel)
     codes = (after[rows, cols] - 1) * (n + 1) + (region + 1)
 
     uniq, first, inverse = np.unique(codes, return_index=True, return_inverse=True)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from ca_segment import (
     ContractError,
@@ -95,6 +97,45 @@ class TestPpm:
         with open(path, "wb") as fh:
             fh.write(b"P5\n1 1\n255\n\x00")
         with pytest.raises(FormatError):
+            load_ppm(path)
+
+
+# the six ASCII whitespace bytes, and comments of digits, spaces, tabs and
+# '#' ended by a newline or a carriage return
+WHITESPACE = st.sampled_from([b" ", b"\t", b"\n", b"\r", b"\x0b", b"\x0c"])
+COMMENTS = st.builds(
+    lambda body, end: b"#" + body.encode("ascii") + end,
+    st.text("0123456789 \t#", max_size=6),
+    st.sampled_from([b"\n", b"\r"]),
+)
+
+
+def separators(min_size):
+    return st.lists(st.one_of(WHITESPACE, COMMENTS), min_size=min_size, max_size=4).map(b"".join)
+
+
+@settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    width=st.integers(1, 3),
+    height=st.integers(1, 3),
+    maxval=st.integers(1, 255),
+    runs=st.tuples(separators(0), separators(1), separators(1)),
+    end=WHITESPACE,
+)
+def test_ppm_header_grammar(tmp_path, width, height, maxval, runs, end):
+    # a header built from known parts loads with exactly its dimensions and
+    # payload, and every cut inside it is a truncated header
+    tokens = [str(v).encode("ascii") for v in (width, height, maxval)]
+    header = b"P6" + b"".join(run + token for run, token in zip(runs, tokens)) + end
+    payload = bytes(range(width * height * 3))
+    path = tmp_path / "img.ppm"
+    path.write_bytes(header + payload)
+    image = load_ppm(path)
+    assert (image.width, image.height) == (width, height)
+    assert image.data.tobytes() == payload
+    for cut in range(2, len(header)):
+        path.write_bytes(header[:cut])
+        with pytest.raises(FormatError, match="truncated PPM header"):
             load_ppm(path)
 
 
