@@ -107,29 +107,23 @@ def _phase(times, name):
         times[name] = times.get(name, 0.0) + (time.perf_counter() - start)
 
 
-def _load_input(config: PipelineConfig):
-    """The image, cut to ``config.bands``."""
-    image = raster.load_image(config.input_path, config.format)
-    if config.bands is not None:
-        subset = list(config.bands)
-        if not subset:
-            raise ContractError("band subset must not be empty")
-        if any(b < 0 or b >= image.bands for b in subset):
-            raise ContractError(
-                f"band subset {subset} out of range for {image.bands} bands"
-            )
-        image = MultibandImage.from_planes(image.planes[subset], image.depth)
-    return image
-
-
 def _load_and_seed(config, times):
-    """Validate the config, load the image and build its ranges and seeds.
+    """Validate the config, load the image cut to ``config.bands`` and seed it.
 
-    Returns (image, ranges, seeds, seed count).
+    Returns (image, ranges, seeds).
     """
     config.validate()
     with _phase(times, "load"):
-        image = _load_input(config)
+        image = raster.load_image(config.input_path, config.format)
+        if config.bands is not None:
+            subset = list(config.bands)
+            if not subset:
+                raise ContractError("band subset must not be empty")
+            if any(b < 0 or b >= image.bands for b in subset):
+                raise ContractError(
+                    f"band subset {subset} out of range for {image.bands} bands"
+                )
+            image = MultibandImage.from_planes(image.planes[subset], image.depth)
     with _phase(times, "histogram"):
         hist = seeding.compute_sum_histogram(image)
     with _phase(times, "ranges"):
@@ -145,8 +139,7 @@ def _load_and_seed(config, times):
         seeds = seeding.generate_seeds(
             image, ranges, delta_rel=config.delta_rel, stride=config.stride
         )
-    seed_count = len(seeds)
-    if seed_count == 0:
+    if len(seeds) == 0:
         raise ContractError(
             "no seeds produced: no subsampled pixel has a band sum inside the "
             f"selected ranges {[(r.lo, r.hi) for r in ranges]} "
@@ -155,33 +148,16 @@ def _load_and_seed(config, times):
             f"min_separation={config.min_separation}, half_width={config.half_width}, "
             f"max_peaks={config.max_peaks}, stride={config.stride})"
         )
-    return image, ranges, seeds, seed_count
+    return image, ranges, seeds
 
 
-def _report(config, image, ranges, seed_count, times, **fields) -> RunReport:
-    """Build the run's report and write it to ``out_stats`` if one is set."""
-    report = RunReport(
-        width=image.width,
-        height=image.height,
-        bands=image.bands,
-        depth=image.depth,
-        seed_count=seed_count,
-        seed_fraction=round(seed_count / (image.width * image.height), 6),
-        ranges=ranges,
-        timings={k: round(v, 6) for k, v in times.items()},
-        **fields,
-    )
-    if config.out_stats:
-        with open(config.out_stats, "w", encoding="utf-8") as fh:
-            fh.write(report.to_json())
-    return report
+def _finish(config, times, image, ranges, seeds, labels, final=None, **fields) -> RunReport:
+    """Write the output raster ``labels`` and the run's report; return the report.
 
-
-def _label_summary(seeds: seeding.SeedMap, final: segmod.SegmentSet | None = None) -> dict:
-    """The ``labels`` rows and ``label_count``, the labels present in the output.
-
-    The output is the seed raster, or when given the ``final`` segments,
-    which cover its nonzero cells with labels up to ``seeds.label_count``.
+    The report's ``labels`` rows and ``label_count`` cover the labels
+    present in the output: the seed raster, or when given the ``final``
+    segments, which cover the nonzero cells of ``labels`` with labels up to
+    ``seeds.label_count``. ``seed_count`` is the number of seeded cells.
     """
     seed_counts = np.bincount(seeds.labels[seeds.labels != 0], minlength=seeds.label_count + 1)
     counts = seed_counts
@@ -200,32 +176,41 @@ def _label_summary(seeds: seeding.SeedMap, final: segmod.SegmentSet | None = Non
         if final is not None:
             row["pixels"] = int(counts[lab])
         rows.append(row)
-    return {"labels": rows, "label_count": int(np.count_nonzero(counts[1:]))}
+    label_count = int(np.count_nonzero(counts[1:]))
+    with _phase(times, "write"):
+        if config.out_labels:
+            raster.save_label_raster(LabelRaster(labels=labels), config.out_labels, label_count)
+    seed_count = int(seed_counts.sum())
+    report = RunReport(
+        width=image.width,
+        height=image.height,
+        bands=image.bands,
+        depth=image.depth,
+        seed_count=seed_count,
+        seed_fraction=round(seed_count / (image.width * image.height), 6),
+        label_count=label_count,
+        ranges=ranges,
+        labels=rows,
+        timings={k: round(v, 6) for k, v in times.items()},
+        **fields,
+    )
+    if config.out_stats:
+        with open(config.out_stats, "w", encoding="utf-8") as fh:
+            fh.write(report.to_json())
+    return report
 
 
 def run_seeds(config: PipelineConfig) -> RunReport:
     """Histogram, range and seed construction only; writes the seed raster."""
     times = {}
-    image, ranges, seeds, seed_count = _load_and_seed(config, times)
-
-    summary = _label_summary(seeds)
-    with _phase(times, "write"):
-        if config.out_labels:
-            raster.save_label_raster(
-                LabelRaster(labels=seeds.labels), config.out_labels, summary["label_count"]
-            )
-
-    return _report(
-        config, image, ranges, seed_count, times,
-        mode="seeds",
-        **summary,
-    )
+    image, ranges, seeds = _load_and_seed(config, times)
+    return _finish(config, times, image, ranges, seeds, seeds.labels, mode="seeds")
 
 
 def run_segment(config: PipelineConfig) -> RunReport:
     """The full pipeline: seed, converge, enforce the study scale, sign."""
     times = {}
-    image, ranges, seeds, seed_count = _load_and_seed(config, times)
+    image, ranges, seeds = _load_and_seed(config, times)
     preview = config.preview_bands
     if preview is None:
         preview = (0, 1, 2) if image.bands >= 3 else (0, 0, 0)
@@ -274,12 +259,7 @@ def run_segment(config: PipelineConfig) -> RunReport:
                 }
             )
 
-    summary = _label_summary(seeds, final)
     with _phase(times, "write"):
-        if config.out_labels:
-            raster.save_label_raster(
-                LabelRaster(labels=grid.labels), config.out_labels, summary["label_count"]
-            )
         if config.out_preview:
             raster.save_preview(
                 image,
@@ -289,10 +269,9 @@ def run_segment(config: PipelineConfig) -> RunReport:
                 config.out_preview,
             )
 
-    return _report(
-        config, image, ranges, seed_count, times,
+    return _finish(
+        config, times, image, ranges, seeds, grid.labels, final,
         mode="segment",
-        **summary,
         steps_to_convergence=steps,
         converged=converged,
         segments_before=len(before),

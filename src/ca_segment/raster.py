@@ -9,7 +9,8 @@ Supported containers:
   (must be ``bsq``) and ``byte order`` (must be 0, little-endian).
   Unknown keys and lines without ``=`` are ignored.
 * Binary PPM (P6, maxval <= 255): read as a 3-band 8-bit image, and used
-  as the preview output format.
+  as the preview output format. A sample above the header's maxval is
+  rejected.
 * Label rasters: ``<path>`` holds row-major little-endian uint32 ids
   (0 = unlabeled) and ``<path>.json`` is a sidecar carrying ``width``,
   ``height`` and ``label_count`` as JSON integers.
@@ -235,7 +236,9 @@ _PPM_HEADER = rb"P6" + rb"(?:\s|#[^\r\n]*(?![^\r\n]))*([^\s#]+)(?=[\s#])" * 3 + 
 def load_ppm(path) -> MultibandImage:
     """Load a binary P6 PPM as a 3-band, 8-bit image, copied once into band planes.
 
-    ``_PPM_HEADER`` reads the header; the payload is every byte after it.
+    ``_PPM_HEADER`` reads the header; the payload is every byte after it,
+    exactly width * height * 3 samples, none above the header's maxval.
+    Samples are kept as stored, not rescaled to 255.
     """
     with open(path, "rb") as fh:
         buf = fh.read()
@@ -256,6 +259,10 @@ def load_ppm(path) -> MultibandImage:
     if len(payload) != expected:
         raise FormatError(f"PPM payload is {len(payload)} bytes, expected {expected}")
     data = np.frombuffer(payload, dtype=np.uint8).reshape(height, width, 3)
+    if maxval < 255:
+        top = int(data.max())
+        if top > maxval:
+            raise FormatError(f"PPM sample {top} exceeds maxval {maxval}")
     return MultibandImage(data=data, depth=8)
 
 

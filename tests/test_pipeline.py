@@ -619,3 +619,17 @@ class TestStatsRecord:
             report = run(base_config(tmp_path, path, min_area=30))
             sidecar = json.loads((tmp_path / "labels.u32.json").read_text())
             assert sidecar["label_count"] == report.label_count
+
+    @pytest.mark.parametrize("stride", [1, 2])
+    def test_seeds_and_segment_runs_agree_on_seeding(self, tmp_path, stride):
+        path = write_envi(tmp_path / "img.bsq", golden_scene())
+        config = base_config(tmp_path, path, min_area=30, stride=stride)
+        seeds = run_seeds(config)
+        seed_raster = load_label_raster(config.out_labels)
+        segment = run_segment(config)
+        shared = ("width", "height", "bands", "depth", "seed_count", "seed_fraction", "ranges")
+        assert [getattr(segment, k) for k in shared] == [getattr(seeds, k) for k in shared]
+        row_keys = ("label", "range_index", "region", "seeds")
+        rows = [[[row[k] for k in row_keys] for row in run.labels] for run in (seeds, segment)]
+        assert rows[0] == rows[1]
+        assert np.count_nonzero(seed_raster.labels) == seeds.seed_count

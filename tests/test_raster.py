@@ -92,6 +92,16 @@ class TestPpm:
         with pytest.raises(FormatError, match="not a plain decimal integer"):
             load_ppm(path)
 
+    def test_samples_above_maxval_rejected(self, tmp_path):
+        path = str(tmp_path / "img.ppm")
+        write_ppm(path, 1, 1, bytes([255, 0, 7]), maxval=1)
+        with pytest.raises(FormatError, match="PPM sample 255 exceeds maxval 1"):
+            load_ppm(path)
+        # samples up to maxval load as stored, and maxval 255 bounds nothing
+        for maxval, payload in ((100, bytes([0, 50, 100, 100, 7, 99])), (255, bytes([255, 0, 7] * 2))):
+            write_ppm(path, 2, 1, payload, maxval=maxval)
+            assert load_ppm(path).data.tobytes() == payload
+
     def test_bad_magic(self, tmp_path):
         path = str(tmp_path / "img.ppm")
         with open(path, "wb") as fh:
@@ -127,7 +137,7 @@ def test_ppm_header_grammar(tmp_path, width, height, maxval, runs, end):
     # payload, and every cut inside it is a truncated header
     tokens = [str(v).encode("ascii") for v in (width, height, maxval)]
     header = b"P6" + b"".join(run + token for run, token in zip(runs, tokens)) + end
-    payload = bytes(range(width * height * 3))
+    payload = bytes(v % (maxval + 1) for v in range(width * height * 3))
     path = tmp_path / "img.ppm"
     path.write_bytes(header + payload)
     image = load_ppm(path)
