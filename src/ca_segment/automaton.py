@@ -141,8 +141,8 @@ def neighbor_weights(image: MultibandImage, nb: NeighborhoodKind, epsilon: float
 
     Squared distances are summed over the image's integer band planes.
     Samples are integers of at most 16 bits, so their differences fit
-    int32 and a sum is at most bands·(2^depth − 1)²: int32 holds it below
-    2³¹ (8-bit data under about 33 000 bands), int64 otherwise. The band
+    int32 and a sum is at most bands·(2^depth − 1)²: ``image.sum_dtype(2)``
+    holds it (int32 for 8-bit data under about 33 000 bands). The band
     limit of ``MultibandImage`` keeps it below 2⁵³, so float64 holds every
     partial sum exactly too, and the correctly rounded square root equals
     that of a float64 sum in any order bit for bit, slice by slice.
@@ -162,8 +162,7 @@ def neighbor_weights(image: MultibandImage, nb: NeighborhoodKind, epsilon: float
     if not 0 < epsilon < 1:
         raise ContractError("epsilon must lie strictly between 0 and 1")
     n, h, w = image.planes.shape
-    top = image.max_level
-    kind = np.int32 if n * top * top < 2**31 else np.int64
+    kind = image.sum_dtype(2)
     data = image.planes.reshape(n, h * w).astype(np.int32)
     offsets = nb.offsets()
     half = offsets[: len(offsets) // 2]

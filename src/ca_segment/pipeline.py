@@ -119,10 +119,7 @@ def _load_and_seed(config, times):
             subset = list(config.bands)
             if not subset:
                 raise ContractError("band subset must not be empty")
-            if any(b < 0 or b >= image.bands for b in subset):
-                raise ContractError(
-                    f"band subset {subset} out of range for {image.bands} bands"
-                )
+            image.check_bands(subset, "band subset")
             image = MultibandImage.from_planes(image.planes[subset], image.depth)
     with _phase(times, "histogram"):
         hist = seeding.compute_sum_histogram(image)
@@ -214,10 +211,7 @@ def run_segment(config: PipelineConfig) -> RunReport:
     preview = config.preview_bands
     if preview is None:
         preview = (0, 1, 2) if image.bands >= 3 else (0, 0, 0)
-    if any(b < 0 or b >= image.bands for b in preview):
-        raise ContractError(
-            f"preview bands {tuple(preview)} out of range for {image.bands} bands"
-        )
+    image.check_bands(tuple(preview), "preview bands")
 
     max_iters = config.max_iters
     if max_iters is None:

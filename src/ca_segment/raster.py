@@ -103,6 +103,15 @@ class MultibandImage:
         """Largest spectral distance two pixels can be apart, (2**depth - 1)·√bands."""
         return self.max_level * np.sqrt(self.bands)
 
+    def sum_dtype(self, power: int = 1):
+        """int32, or int64 once a sum over the bands of levels to ``power`` can reach 2**31."""
+        return np.int32 if self.bands * self.max_level**power < 2**31 else np.int64
+
+    def check_bands(self, indices, what: str) -> None:
+        """Raise ``ContractError`` unless every band index in ``indices`` exists."""
+        if any(b < 0 or b >= self.bands for b in indices):
+            raise ContractError(f"{what} {indices} out of range for {self.bands} bands")
+
 
 @dataclass
 class LabelRaster:
@@ -377,8 +386,7 @@ def save_preview(
     triple = tuple(int(b) for b in band_triple)
     if len(triple) != 3:
         raise ContractError("band_triple must have exactly three entries")
-    if any(b < 0 or b >= image.bands for b in triple):
-        raise ContractError(f"band triple {triple} out of range for {image.bands} bands")
+    image.check_bands(triple, "band triple")
     if any(np.shape(sig) != (image.bands,) for sig in signatures):
         raise ContractError(f"every signature must be a {image.bands}-vector")
     top = int(labels.labels.max())

@@ -97,21 +97,16 @@ class SumHistogram:
             raise ContractError("histogram counts must be >= 1")
 
 
-def _sum_dtype(image: MultibandImage):
-    """int32, or int64 once a band sum of ``image`` can reach 2**31."""
-    return np.int32 if image.bands * image.max_level < 2**31 else np.int64
-
-
 def compute_sum_histogram(image: MultibandImage) -> SumHistogram:
     """Count occurrences of each per-pixel band sum.
 
-    The band planes are summed into one buffer, sorted in place and cut
-    into runs of equal sums: O(p log p) in the p pixels, and no array
-    spans the domain, whose size is fixed by the image geometry (524 281
-    bins for 8 bands of 16 bits). The counts total width * height.
+    The band planes are summed in ``image.sum_dtype()`` into one buffer,
+    sorted in place and cut into runs of equal sums: O(p log p) in the p
+    pixels, and no array spans the domain, whose size the image geometry
+    fixes (524 281 bins for 8 bands of 16 bits). The counts total w * h.
     """
     size = image.bands * image.max_level + 1
-    sums = image.planes.sum(axis=0, dtype=_sum_dtype(image)).ravel()
+    sums = image.planes.sum(axis=0, dtype=image.sum_dtype()).ravel()
     sums.sort()
     ends = np.append(np.flatnonzero(sums[1:] != sums[:-1]) + 1, sums.size)  # of the runs of equal sums
     return SumHistogram(bins=sums[ends - 1], counts=np.diff(ends, prepend=0), size=size)
@@ -235,9 +230,10 @@ def select_ranges(
     # max_peaks are accepted
     order = np.argsort(-heights, kind="stable")
     accepted = {}  # peak bin -> smoothed height
-    for p, height in zip(candidates[order].tolist(), heights[order].tolist()):
+    for i in order:
+        p = int(candidates[i])
         if all(abs(p - q) >= min_separation for q in accepted):
-            accepted[p] = height
+            accepted[p] = float(heights[i])
             if len(accepted) == max_peaks:
                 break
 
@@ -295,9 +291,10 @@ def generate_seeds(
     """Place a seed on every in-range pixel of the subsampled lattice.
 
     Pixels are visited in row-major order, subsampled by ``stride`` along
-    both axes. A pixel whose band sum falls in one of the (disjoint) ranges
-    gets the id of its (range index, spectral region) key in the seed
-    raster; ids are assigned consecutively from 1 in first-encounter order.
+    both axes. A pixel whose band sum, in ``image.sum_dtype()``, falls in
+    one of the (disjoint) ranges gets the id of its (range index, spectral
+    region) key in the seed raster; ids are assigned consecutively from 1
+    in first-encounter order.
     """
     if stride < 1:
         raise ContractError("stride must be >= 1")
@@ -305,7 +302,7 @@ def generate_seeds(
 
     n = image.bands
     top = n * image.max_level  # the largest possible sum
-    sums = image.planes[:, ::stride, ::stride].sum(axis=0, dtype=_sum_dtype(image))
+    sums = image.planes[:, ::stride, ::stride].sum(axis=0, dtype=image.sum_dtype())
 
     # ranges starting above every sum are a suffix of the ordered ones and
     # match nothing; the others, clipped to the domain, fit the sums' dtype

@@ -124,6 +124,13 @@ class TestRunSegment:
         with pytest.raises(ContractError, match="band"):
             run_segment(base_config(tmp_path, path, bands=[0, 3]))
 
+    @pytest.mark.parametrize("bands", [[0, 3], [-1]])
+    def test_band_subset_out_of_range_message(self, tmp_path, bands):
+        path = write_envi(tmp_path / "img.bsq", two_region_data())
+        with pytest.raises(ContractError) as err:
+            run_segment(base_config(tmp_path, path, bands=bands))
+        assert str(err.value) == f"band subset {bands} out of range for 3 bands"
+
     def test_zero_seeds_names_the_knobs(self, tmp_path):
         # the only selected range sits entirely off the stride lattice
         data = np.array([[[10], [200]], [[200], [200]]], dtype=np.uint8)
@@ -311,6 +318,15 @@ class TestCli:
         assert message in capsys.readouterr().err
         # nothing is written: no labels, stats or preview next to the input
         assert sorted(p.name for p in tmp_path.iterdir()) == ["img.bsq", "img.bsq.hdr"]
+
+    def test_preview_bands_out_of_range_message(self, tmp_path, capsys):
+        data = np.concatenate([two_region_data(), two_region_data()[:, :, :1]], axis=2)
+        path = write_envi(tmp_path / "img.bsq", data)
+        args = self.segment_args(tmp_path, path, "--preview-bands", "0,1,9")
+        assert main(args) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "ca-segment: error: preview bands (0, 1, 9) out of range for 4 bands"
+        ]
 
     def test_unmet_study_scale_is_a_warning_unless_strict(self, tmp_path, capsys):
         # the 20x20 island is below the study scale; two steps regrow only

@@ -9,6 +9,7 @@ from ca_segment import (
     LabelRaster,
     MultibandImage,
     NeighborhoodKind,
+    SumRange,
     UnsupportedFormatError,
     compute_sum_histogram,
     extract_segments,
@@ -398,6 +399,14 @@ class TestPreview:
             save_preview(image, labels, [np.zeros(2)], (0, 1, 2),
                          str(tmp_path / "prev.ppm"))
 
+    def test_band_triple_out_of_range_message(self, tmp_path):
+        image = MultibandImage(data=np.zeros((1, 1, 2), dtype=np.uint8), depth=8)
+        labels = LabelRaster(labels=np.ones((1, 1), dtype=np.uint32))
+        with pytest.raises(ContractError) as err:
+            save_preview(image, labels, [np.zeros(2)], (0, 1, 2), str(tmp_path / "prev.ppm"))
+        assert str(err.value) == "band triple (0, 1, 2) out of range for 2 bands"
+        assert not (tmp_path / "prev.ppm").exists()
+
 
 def test_image_invariants_enforced():
     with pytest.raises(ContractError):
@@ -415,6 +424,35 @@ def test_band_limit_keeps_medoid_sums_exact():
     assert image.bands == 524304
     with pytest.raises(ContractError, match="524305 bands exceed the limit of 524304"):
         MultibandImage(data=np.zeros((1, 1, 524305), dtype=np.uint16), depth=16)
+
+
+class TestWidthRules:
+    """Each integer sum over an image's bands at the edge of ``sum_dtype``'s int32."""
+
+    @pytest.mark.parametrize("bands, dtype", [(32768, np.int32), (32769, np.int64)])
+    def test_band_sums_at_the_boundary(self, bands, dtype):
+        # 32 768 · 65535 < 2³¹ ≤ 32 769 · 65535
+        image = MultibandImage(data=np.full((1, 1, bands), 65535, dtype=np.uint16), depth=16)
+        assert image.sum_dtype() is dtype
+        total = bands * 65535
+        hist = compute_sum_histogram(image)
+        assert hist.bins.tolist() == [total] and hist.counts.tolist() == [1]
+        seeds = generate_seeds(image, [SumRange(total, total, total)])
+        assert len(seeds) == 1 and seeds.labels.tolist() == [[1]]
+
+    @pytest.mark.parametrize("bands, dtype", [(33025, np.int32), (33026, np.int64)])
+    def test_squared_distances_at_the_boundary(self, bands, dtype):
+        # 33 025 · 255² < 2³¹ ≤ 33 026 · 255²
+        data = np.zeros((1, 2, bands), dtype=np.uint8)
+        data[0, 0] = 255
+        image = MultibandImage(data=data, depth=8)
+        assert image.sum_dtype(2) is dtype
+        epsilon = 1e-6
+        want = max(epsilon, 1.0 - np.sqrt(float(bands * 255**2)) / image.max_distance)
+        planes = {(dr, dc): plane for dr, dc, plane in
+                  neighbor_weights(image, NeighborhoodKind.VONNEUMANN4, epsilon)}
+        assert planes[0, 1].tolist() == [[want, 0.0]]
+        assert planes[0, -1].tolist() == [[0.0, want]]
 
 
 def test_every_source_of_the_same_samples_gives_the_same_image(tmp_path):
